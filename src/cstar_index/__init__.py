@@ -39,6 +39,7 @@ from .galerkin import (
     BlockLeakError,
     EquivariantRestriction,
     GalerkinProblem,
+    NumericalBreakdown,
     SpectralReport,
     build_dbar_matrix,
     equivariant_block_index,
@@ -98,6 +99,7 @@ __all__ = [
     "BasisElementW",
     "EquivariantRestriction",
     "GalerkinProblem",
+    "NumericalBreakdown",
     "SpectralReport",
     "build_dbar_matrix",
     "gram_matrices",

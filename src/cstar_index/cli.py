@@ -9,10 +9,13 @@ Subcommands:
     measure   fiber measure diagnostics: mass, unity, projector axioms
 
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
-validation errors, 3 unwritable output path, 4 divergent measure parameters.
+validation errors, 3 unwritable output path, 4 divergent measure parameters,
+5 numerical breakdown (the float Gram factorization in heat failed).
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
-and rationals rendered as decimal-free p/q strings.
+and rationals rendered as decimal-free p/q strings.  The float digits that
+heat prints come from BLAS and depend on its thread count, so they repeat
+run to run only with that count fixed (e.g. OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .analytic import kappa
@@ -31,6 +32,7 @@ from .exact import format_rational
 from .galerkin import (
     EquivariantRestriction,
     GalerkinProblem,
+    NumericalBreakdown,
     laplacian_pairing_defect,
     supertrace,
 )
@@ -43,7 +45,7 @@ from .measure import (
     projector_axioms_check,
     unity_check,
 )
-from .model import ValidationError, kawasaki_from_json_dict
+from .model import SCHEMA_VERSION, ValidationError, kawasaki_from_json_dict
 from .topological import hrr_term, kawasaki_index, mu_bruteforce, mu_closed, verify_identity
 
 __all__ = [
@@ -55,9 +57,6 @@ __all__ = [
     "cmd_measure",
     "main",
 ]
-
-_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -75,16 +74,6 @@ class SweepConfig:
             raise ValueError("format must be 'csv' or 'json'")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CSTAR_INDEX_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)  # ValueError propagates to the caller
-    if n < 1:
-        raise ValueError("CSTAR_INDEX_THREADS must be a positive integer")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -93,7 +82,7 @@ def _thread_count() -> int:
 def cmd_verify(args) -> int:
     report = verify_identity(args.l, args.m)
     if args.json:
-        doc = {"schema_version": _SCHEMA_VERSION, "l": args.l, "m": args.m}
+        doc = {"schema_version": SCHEMA_VERSION, "l": args.l, "m": args.m}
         doc.update(report.to_json_dict())
         print(json.dumps(doc, sort_keys=True))
     else:
@@ -132,21 +121,12 @@ def _sweep_row(l: int, m: int) -> dict:
 
 
 def sweep_rows(config: SweepConfig) -> list[dict]:
-    """All grid rows, l-major then m-minor, computed with the configured
-    worker count (CSTAR_INDEX_THREADS).  Ordering is independent of the
-    worker count because the per-l chunks are mapped in order."""
-    threads = _thread_count()
-    ls = range(2, config.l_max + 1)
-
-    def chunk(l: int) -> list[dict]:
-        return [_sweep_row(l, m) for m in range(0, config.m_max + 1)]
-
-    if threads == 1:
-        chunks = [chunk(l) for l in ls]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(chunk, ls))
-    return [row for rows in chunks for row in rows]
+    """All grid rows, l-major then m-minor."""
+    return [
+        _sweep_row(l, m)
+        for l in range(2, config.l_max + 1)
+        for m in range(0, config.m_max + 1)
+    ]
 
 
 _CSV_COLUMNS = ("l", "m", "kappa", "hrr", "mu_closed", "mu_bruteforce", "total", "agree")
@@ -172,7 +152,7 @@ def render_sweep(rows: list[dict], fmt: str) -> str:
             )
         return buf.getvalue()
     doc = {
-        "schema_version": _SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "rows": [
             {
                 "l": row["l"],
@@ -243,7 +223,7 @@ def cmd_kawasaki(args) -> int:
         print(
             json.dumps(
                 {
-                    "schema_version": _SCHEMA_VERSION,
+                    "schema_version": SCHEMA_VERSION,
                     "smooth_term": format_rational(spec.smooth_term),
                     "point_contributions": contributions,
                     "total": format_rational(total),
@@ -292,6 +272,9 @@ def cmd_heat(args, parser: argparse.ArgumentParser | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalBreakdown as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return 5
     pairing = laplacian_pairing_defect(problem)
     deviation = max(
         (abs(value - report.index_exact) for _, value in report.supertrace_samples),
@@ -299,7 +282,7 @@ def cmd_heat(args, parser: argparse.ArgumentParser | None = None) -> int:
     )
     if args.json:
         doc = {
-            "schema_version": _SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "d": d,
             "K": args.K,
             "dim_V": report.dim_V,

@@ -9,6 +9,15 @@ The point of doing this exactly is the fixed-point character sums used by the
 index checks.  Each sum over nontrivial N-th roots of unity is Galois
 invariant, hence rational, and the arithmetic here certifies that rationality
 instead of trusting a floating-point imaginary part to be small.
+
+The sums themselves are evaluated in the integer group ring Z[x]/(x^N - 1):
+for x^N = 1, x != 1 the identity 1/(1 - x) = -(1/N) sum_{i<N} (i+1) x^i turns
+every term into integer-weighted powers of zeta, which accumulate into one
+exponent histogram.  That histogram is reduced once modulo the monic Phi_N in
+integer arithmetic, and the resulting power-basis element is certified
+rational by assert_rational.  CyclotomicElement with its extended-Euclid
+inverse is the general field arithmetic, and the reference the tests check
+the sums against.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 Rational = Fraction
 
@@ -109,27 +120,28 @@ def _euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Representations of x^j mod Phi_n for j = 0 .. max(n-1, 2*phi-2).
 
     Products of two reduced elements have degree at most 2*phi - 2, and raw
     roots of unity need exponents up to n - 1, so this table covers every
-    reduction the element arithmetic performs.
+    reduction the element arithmetic performs.  Phi_n is monic, so every
+    entry is an integer.
     """
     phi = _euler_phi(n)
     top = max(n - 1, 2 * phi - 2)
     big_phi = cyclotomic_polynomial(n)
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})
-    fold = tuple(Fraction(-c) for c in big_phi[:phi])
-    table: list[tuple[Fraction, ...]] = []
+    fold = tuple(-c for c in big_phi[:phi])
+    table: list[tuple[int, ...]] = []
     for j in range(top + 1):
         if j < phi:
-            row = [Fraction(0)] * phi
-            row[j] = Fraction(1)
+            row = [0] * phi
+            row[j] = 1
             table.append(tuple(row))
         else:
             prev = table[j - 1]
-            row = [Fraction(0)] + list(prev[: phi - 1])
+            row = [0] + list(prev[: phi - 1])
             lead = prev[phi - 1]
             if lead:
                 row = [r + lead * f for r, f in zip(row, fold)]
@@ -431,15 +443,39 @@ def assert_rational(u: CyclotomicElement) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _lefschetz_cached(n: int, a: int, b: int) -> Fraction:
-    zeta = root_of_unity(n)
-    total = CyclotomicElement.rational(n, 0)
-    one = CyclotomicElement.rational(n, 1)
-    for k in range(1, n):
-        numer = root_of_unity(n, (b * k) % n)
-        denom = one - root_of_unity(n, (-a * k) % n)
-        total = total + numer / denom
-    return assert_rational(total) / n
+def _reduction_matrix(n: int) -> np.ndarray:
+    """The (n, phi) int64 matrix whose row e is x^e mod Phi_n, e < n.
+
+    A point-sum histogram has entries summing to (n-1) * n(n+1)/2; the
+    bound check keeps that sum exact in float64 and its product with this
+    matrix exact in int64.
+    """
+    rows = _power_table(n)[:n]
+    top = max(abs(c) for row in rows for c in row)
+    weight = (n - 1) * n * (n + 1) // 2
+    if weight >= 2**53 or top * weight >= 2**63:
+        raise OverflowError(f"order {n} is too large for exact int64 point sums")
+    return np.array(rows, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _point_sum(n: int, a: int, b: int) -> Fraction:
+    """Exact (1/n) sum_{k=1}^{n-1} zeta^(bk) / (1 - zeta^(-ak)), a a unit mod n.
+
+    For x^n = 1, x != 1 the inverse is 1/(1 - x) = -(1/n) sum_{i<n} (i+1) x^i,
+    so the value is -1/n^2 times the group-ring element whose coefficient at
+    e is the total weight i+1 of the pairs (k, i) with k(b - a i) = e mod n.
+    That histogram is reduced once modulo Phi_n and certified rational.
+    """
+    matrix = _reduction_matrix(n)
+    k = np.arange(1, n)
+    i = np.arange(n)
+    exponents = np.outer(k, b - a * i) % n
+    weights = np.broadcast_to(i + 1, exponents.shape)
+    hist = np.bincount(exponents.ravel(), weights.ravel(), minlength=n)
+    coeffs = hist.astype(np.int64) @ matrix
+    value = assert_rational(CyclotomicElement(n, coeffs.tolist()))
+    return -value / (n * n)
 
 
 def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:
@@ -457,15 +493,11 @@ def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:
     b = b % n
     if gcd(a, n) != 1:
         raise ValueError(f"normal weight {a} is not a unit modulo {n}")
-    return _lefschetz_cached(n, a, b)
+    return _point_sum(n, a, b)
 
 
 def unit_root_reciprocal_sum(n: int) -> Fraction:
     """Exact value of sum_{k=1}^{N-1} 1 / (zeta_N^k - 1)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    total = CyclotomicElement.rational(n, 0)
-    one = CyclotomicElement.rational(n, 1)
-    for k in range(1, n):
-        total = total + (root_of_unity(n, k) - one).inverse()
-    return assert_rational(total)
+    return -n * _point_sum(n, n - 1, 0)

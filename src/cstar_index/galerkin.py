@@ -35,10 +35,12 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "BlockLeakError",
+    "NumericalBreakdown",
     "BasisElementV",
     "BasisElementW",
     "EquivariantRestriction",
@@ -56,6 +58,25 @@ __all__ = [
 
 class BlockLeakError(ArithmeticError):
     """The operator produced a target outside the selected weight block."""
+
+
+class NumericalBreakdown(ArithmeticError):
+    """Float Cholesky of a Gram matrix failed: double precision ran out.
+
+    The exact Gram matrices are positive definite, so a failing leading
+    minor (1-based, as LAPACK reports it) means rounding, not bad input.
+    """
+
+    def __init__(self, d: int, K: int, space: str, minor: int, size: int) -> None:
+        self.d = d
+        self.K = K
+        self.space = space
+        self.minor = minor
+        self.size = size
+        super().__init__(
+            f"float Cholesky of the {size}x{size} {space} Gram matrix failed at "
+            f"leading minor {minor} (d={d}, K={K})"
+        )
 
 
 @dataclass(frozen=True)
@@ -303,6 +324,16 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
+def _gram_cholesky(gram: np.ndarray, problem: GalerkinProblem, space: str) -> np.ndarray:
+    """Lower Cholesky factor of a float Gram matrix; NumericalBreakdown if none."""
+    factor, info = dpotrf(gram, lower=1, clean=1)
+    if info > 0:
+        raise NumericalBreakdown(problem.d, problem.K, space, info, gram.shape[0])
+    if info < 0:
+        raise ValueError(f"LAPACK potrf rejected argument {-info}")
+    return factor
+
+
 def _orthonormalized_operator(problem: GalerkinProblem) -> np.ndarray:
     """D expressed in orthonormal bases: L_W^T D L_V^(-T), G = L L^T."""
     n_v = len(problem.basis_v())
@@ -313,8 +344,8 @@ def _orthonormalized_operator(problem: GalerkinProblem) -> np.ndarray:
     g_v, g_w = gram_matrices(problem)
     gv = np.array([[float(x) for x in row] for row in g_v])
     gw = np.array([[float(x) for x in row] for row in g_w])
-    l_v = cholesky(gv, lower=True)
-    l_w = cholesky(gw, lower=True)
+    l_v = _gram_cholesky(gv, problem, "section")
+    l_w = _gram_cholesky(gw, problem, "form")
     # D * L_V^(-T) via a triangular solve, then the L_W^T factor
     right = solve_triangular(l_v, d_mat.T, lower=True).T
     return l_w.T @ right

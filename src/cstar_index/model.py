@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any
 
+from .analytic import _check_family_args
 from .exact import Rational, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -88,10 +89,7 @@ class ExampleFamilySpec:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 2:
-            raise ValueError(f"l must be an integer >= 2, got {self.l!r}")
-        if not isinstance(self.m, int) or self.m < 0:
-            raise ValueError(f"m must be an integer >= 0, got {self.m!r}")
+        _check_family_args(self.l, self.m)
 
 
 @dataclass(frozen=True)

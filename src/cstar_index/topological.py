@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analytic import analytic_index
+from .analytic import _check_family_args, analytic_index
 from .exact import Rational, lefschetz_point_sum
 from .model import (
     ExampleFamilySpec,
@@ -28,13 +28,6 @@ __all__ = [
     "kawasaki_index",
     "verify_identity",
 ]
-
-
-def _check_family_args(l: int, m: int) -> None:
-    if not isinstance(l, int) or l < 2:
-        raise ValueError(f"l must be an integer >= 2, got {l!r}")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
 
 
 def hrr_term(l: int, m: int) -> Rational:

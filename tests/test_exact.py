@@ -2,7 +2,9 @@
 
 Every exact value asserted here is checked against an independent route:
 sympy for cyclotomic polynomials, a complex floating-point brute-force sum
-for the Lefschetz contributions, and closed forms for the reciprocal sums.
+and the term-by-term field evaluation (one CyclotomicElement inversion per
+term) for the Lefschetz contributions, and closed forms for the reciprocal
+sums.
 """
 
 import cmath
@@ -24,6 +26,7 @@ from cstar_index.exact import (
     root_of_unity,
     unit_root_reciprocal_sum,
 )
+from cstar_index.topological import mu_bruteforce, mu_closed
 
 
 def _lefschetz_float(n: int, a: int, b: int) -> complex:
@@ -33,6 +36,17 @@ def _lefschetz_float(n: int, a: int, b: int) -> complex:
     for k in range(1, n):
         total += z ** (b * k) / (1 - z ** (-a * k))
     return total / n
+
+
+def _lefschetz_field_oracle(n: int, a: int, b: int) -> Fraction:
+    """The fixed-point sum term by term in Q(zeta_n), one inversion per k."""
+    total = CyclotomicElement.rational(n, 0)
+    one = CyclotomicElement.rational(n, 1)
+    for k in range(1, n):
+        numer = root_of_unity(n, (b * k) % n)
+        denom = one - root_of_unity(n, (-a * k) % n)
+        total = total + numer / denom
+    return assert_rational(total) / n
 
 
 def test_rational_string_roundtrip():
@@ -181,6 +195,30 @@ def test_lefschetz_point_sum_matches_float_oracle():
         approx = _lefschetz_float(n, a, b)
         assert abs(approx.imag) < 1e-10
         assert abs(approx.real - float(exact)) < 1e-10
+
+
+def test_lefschetz_point_sum_matches_field_oracle():
+    for n in range(2, 17):
+        for a in range(1, n):
+            if math.gcd(a, n) != 1:
+                continue
+            for b in range(n):
+                assert lefschetz_point_sum(n, a, b) == _lefschetz_field_oracle(n, a, b), (n, a, b)
+
+
+def test_group_ring_inverse_identity():
+    # 1/(1 - x) = -(1/n) sum_{i<n} (i+1) x^i for every x = zeta_n^j, j != 0
+    for n in range(2, 25):
+        for j in range(1, n):
+            x = root_of_unity(n, j)
+            series = sum(root_of_unity(n, i * j) * (i + 1) for i in range(n))
+            assert (1 - x) * (series * Fraction(-1, n)) == 1, (n, j)
+
+
+def test_point_sum_matches_closed_form_at_large_order():
+    for l in (97, 160):
+        for m in (0, 1, l // 2, l - 1, 3 * l + 7):
+            assert mu_bruteforce(l, m) == mu_closed(l, m), (l, m)
 
 
 def test_lefschetz_point_sum_galois_invariance():

@@ -14,11 +14,13 @@ import pytest
 import sympy
 from scipy.integrate import quad
 
+from cstar_index import galerkin
 from cstar_index.galerkin import (
     BasisElementV,
     BasisElementW,
     EquivariantRestriction,
     GalerkinProblem,
+    NumericalBreakdown,
     build_dbar_matrix,
     equivariant_block_index,
     exact_index,
@@ -161,6 +163,27 @@ def test_supertrace_constant_in_t():
 def test_laplacian_pairing():
     for d, K in [(0, 1), (4, 3), (-2, 3), (6, 5)]:
         assert laplacian_pairing_defect(GalerkinProblem(d=d, K=K)) < 1e-10
+
+
+def test_gram_cholesky_breakdown_is_typed(monkeypatch):
+    # zeroing a diagonal entry of the form Gram matrix makes its second
+    # leading minor nonpositive, as rounding does on large problems
+    exact_gram = galerkin.gram_matrices
+
+    def broken_gram(problem):
+        g_v, g_w = exact_gram(problem)
+        g_w = [list(row) for row in g_w]
+        g_w[1][1] = Fraction(0)
+        return g_v, g_w
+
+    monkeypatch.setattr(galerkin, "gram_matrices", broken_gram)
+    with pytest.raises(NumericalBreakdown) as exc:
+        heat_spectra(GalerkinProblem(d=1, K=2))
+    err = exc.value
+    assert not isinstance(err, ValueError)
+    assert (err.d, err.K, err.space, err.minor) == (1, 2, "form", 2)
+    assert err.size == len(GalerkinProblem(d=1, K=2).basis_w())
+    assert "leading minor 2" in str(err)
 
 
 def test_spectra_shapes_and_zero_modes():
