@@ -33,7 +33,6 @@ from .galerkin import (
     EquivariantRestriction,
     GalerkinProblem,
     NumericalBreakdown,
-    laplacian_pairing_defect,
     supertrace,
 )
 from .measure import (
@@ -241,31 +240,19 @@ def cmd_kawasaki(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_heat(args, parser: argparse.ArgumentParser | None = None) -> int:
+def cmd_heat(args, parser: argparse.ArgumentParser) -> int:
     restriction = None
     d = args.d
     if (args.l is None) != (args.m is None):
-        msg = "--l and --m must be given together"
-        if parser is not None:
-            parser.error(msg)
-        print(f"error: {msg}", file=sys.stderr)
-        return 2
+        parser.error("--l and --m must be given together")
     if args.l is not None:
         if d is None:
             d = 2 * args.m
         elif d != 2 * args.m:
-            msg = f"--d must equal 2*m = {2 * args.m} for the equivariant block"
-            if parser is not None:
-                parser.error(msg)
-            print(f"error: {msg}", file=sys.stderr)
-            return 2
+            parser.error(f"--d must equal 2*m = {2 * args.m} for the equivariant block")
         restriction = EquivariantRestriction(l=args.l, label=args.m % args.l)
     if d is None:
-        msg = "--d is required unless --l/--m are given"
-        if parser is not None:
-            parser.error(msg)
-        print(f"error: {msg}", file=sys.stderr)
-        return 2
+        parser.error("--d is required unless --l/--m are given")
     try:
         problem = GalerkinProblem(d=d, K=args.K, equivariance=restriction)
         report = supertrace(problem, tuple(args.t))
@@ -275,7 +262,7 @@ def cmd_heat(args, parser: argparse.ArgumentParser | None = None) -> int:
     except NumericalBreakdown as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 5
-    pairing = laplacian_pairing_defect(problem)
+    pairing = report.pairing_defect
     deviation = max(
         (abs(value - report.index_exact) for _, value in report.supertrace_samples),
         default=0.0,

@@ -25,6 +25,12 @@ The circle action z -> e^(i theta) z gives v_{a,b} weight a - b and
 w_{alpha,beta} weight alpha - beta - 1 (the dzbar contributes -1), D
 preserves the weight, and restricting to a residue class of weights modulo
 l computes the fixed-point index of the quotient family.
+
+D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
+alone finds the blocks.  The exact rank sums block ranks over Q; the float
+spectra come from one walk that factors, orthonormalizes and diagonalizes
+block by block.  `build_dbar_matrix` and `gram_matrices` only scatter the
+blocks into full matrices.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from math import factorial
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
+
+from .analytic import _check_family_args
 
 __all__ = [
     "BlockLeakError",
@@ -61,21 +69,23 @@ class BlockLeakError(ArithmeticError):
 
 
 class NumericalBreakdown(ArithmeticError):
-    """Float Cholesky of a Gram matrix failed: double precision ran out.
+    """Float Cholesky of a Gram block failed: double precision ran out.
 
-    The exact Gram matrices are positive definite, so a failing leading
+    The exact Gram blocks are positive definite, so a failing leading
     minor (1-based, as LAPACK reports it) means rounding, not bad input.
+    `size` is the order of the failing block and `weight` its weight.
     """
 
-    def __init__(self, d: int, K: int, space: str, minor: int, size: int) -> None:
+    def __init__(self, d: int, K: int, space: str, weight: int, minor: int, size: int) -> None:
         self.d = d
         self.K = K
         self.space = space
+        self.weight = weight
         self.minor = minor
         self.size = size
         super().__init__(
-            f"float Cholesky of the {size}x{size} {space} Gram matrix failed at "
-            f"leading minor {minor} (d={d}, K={K})"
+            f"float Cholesky of the {size}x{size} {space} Gram block of weight "
+            f"{weight} failed at leading minor {minor} (d={d}, K={K})"
         )
 
 
@@ -165,7 +175,11 @@ class GalerkinProblem:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Exact and numerical summary of one truncated complex."""
+    """Exact and numerical summary of one truncated complex.
+
+    `pairing_defect` is the largest relative mismatch between the paired
+    nonzero spectra of the two Laplacians; None when no spectra were taken.
+    """
 
     dim_V: int
     dim_W: int
@@ -174,6 +188,7 @@ class SpectralReport:
     index_exact: int
     supertrace_samples: tuple[tuple[float, float], ...]
     block_label: int | None
+    pairing_defect: float | None = None
 
 
 def _dbar_images(elem: BasisElementV, K: int):
@@ -186,28 +201,6 @@ def _dbar_images(elem: BasisElementV, K: int):
     return out
 
 
-def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
-    """Integer matrix of D, rows indexed by the form basis, columns by sections.
-
-    For a restricted problem the full-range targets must themselves satisfy
-    the weight constraint; a violation raises BlockLeakError since it means
-    the operator does not preserve the block decomposition.
-    """
-    bv = problem.basis_v()
-    bw = problem.basis_w()
-    w_index = {e: i for i, e in enumerate(bw)}
-    rows = [[0] * len(bv) for _ in bw]
-    for col, elem in enumerate(bv):
-        for coeff, target in _dbar_images(elem, problem.K):
-            row = w_index.get(target)
-            if row is None:
-                raise BlockLeakError(
-                    f"D maps {elem} outside the selected block (target {target})"
-                )
-            rows[row][col] = coeff
-    return rows
-
-
 @lru_cache(maxsize=None)
 def _beta_moment(p: int, s: int) -> Fraction:
     """Exact value of the chart integral of t^p (1 + t)^(-s) over [0, inf)."""
@@ -216,32 +209,70 @@ def _beta_moment(p: int, s: int) -> Fraction:
     return Fraction(factorial(p) * factorial(s - p - 2), factorial(s - 1))
 
 
-def gram_matrices(problem: GalerkinProblem):
-    """Exact Gram matrices (G_V, G_W) of the two bases.
+def _weight_blocks(problem: GalerkinProblem):
+    """Yield (weight, V-block, W-block, D-block, G_V-block, G_W-block).
 
-    Monomials of different weight are orthogonal (the angular integral
-    vanishes), and equal-weight pairs reduce to the Beta moment with the
-    common exponent s = 2K + d + 2.  The same s serves both spaces because
-    the form pairing trades two powers of the conformal factor for the
-    inverse metric on dzbar.
+    Weights ascend; each basis block keeps the order of the full basis.  The
+    D-block holds ints, rows indexed by the W-block and columns by the
+    V-block; a target of D outside the W-block of its source's weight raises
+    BlockLeakError, since D must preserve the weight decomposition.  Monomials
+    of different weight are orthogonal (the angular integral vanishes), and
+    equal-weight pairs reduce to the Beta moment with the common exponent
+    s = 2K + d + 2.  The same s serves both spaces because the form pairing
+    trades two powers of the conformal factor for the inverse metric on dzbar.
     """
     s = 2 * problem.K + problem.d + 2
-    bv = problem.basis_v()
-    bw = problem.basis_w()
-    g_v = [
-        [
-            _beta_moment(e.a + f.b, s) if e.weight == f.weight else Fraction(0)
-            for f in bv
-        ]
-        for e in bv
-    ]
-    g_w = [
-        [
-            _beta_moment(e.alpha + f.beta, s) if e.weight == f.weight else Fraction(0)
-            for f in bw
-        ]
-        for e in bw
-    ]
+    groups: dict[int, tuple[list, list]] = {}
+    for e in problem.basis_v():
+        groups.setdefault(e.weight, ([], []))[0].append(e)
+    for f in problem.basis_w():
+        groups.setdefault(f.weight, ([], []))[1].append(f)
+    for weight in sorted(groups):
+        bv, bw = groups[weight]
+        row_of = {f: i for i, f in enumerate(bw)}
+        d_block = [[0] * len(bv) for _ in bw]
+        for col, elem in enumerate(bv):
+            for coeff, target in _dbar_images(elem, problem.K):
+                row = row_of.get(target)
+                if row is None:
+                    raise BlockLeakError(
+                        f"D maps {elem} outside its weight block (target {target})"
+                    )
+                d_block[row][col] = coeff
+        g_v = [[_beta_moment(e.a + f.b, s) for f in bv] for e in bv]
+        g_w = [[_beta_moment(e.alpha + f.beta, s) for f in bw] for e in bw]
+        yield weight, bv, bw, d_block, g_v, g_w
+
+
+def _assemble(row_basis, col_basis, blocks, zero) -> list[list]:
+    """Scatter (row elements, column elements, block) triples into one matrix."""
+    row_at = {e: i for i, e in enumerate(row_basis)}
+    col_at = {e: j for j, e in enumerate(col_basis)}
+    full = [[zero] * len(col_at) for _ in row_at]
+    for rows, cols, block in blocks:
+        for e, block_row in zip(rows, block):
+            for f, x in zip(cols, block_row):
+                full[row_at[e]][col_at[f]] = x
+    return full
+
+
+def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
+    """Integer matrix of D, rows indexed by the form basis, columns by sections.
+
+    For a restricted problem the full-range targets must themselves satisfy
+    the weight constraint; a violation raises BlockLeakError since it means
+    the operator does not preserve the block decomposition.
+    """
+    blocks = ((bw, bv, d_block) for _, bv, bw, d_block, _, _ in _weight_blocks(problem))
+    return _assemble(problem.basis_w(), problem.basis_v(), blocks, 0)
+
+
+def gram_matrices(problem: GalerkinProblem):
+    """Exact Gram matrices (G_V, G_W) of the two bases, zero across weights."""
+    blocks = list(_weight_blocks(problem))
+    bv, bw = problem.basis_v(), problem.basis_w()
+    g_v = _assemble(bv, bv, [(v, v, g) for _, v, _, _, g, _ in blocks], Fraction(0))
+    g_w = _assemble(bw, bw, [(w, w, g) for _, _, w, _, _, g in blocks], Fraction(0))
     return g_v, g_w
 
 
@@ -273,50 +304,27 @@ def _fraction_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def _exact_rank_by_weight(problem: GalerkinProblem) -> int:
-    """Rank of D over Q, block by weight; D preserves weights exactly."""
-    bv = problem.basis_v()
-    bw = problem.basis_w()
-    v_by_weight: dict[int, list[BasisElementV]] = {}
-    for e in bv:
-        v_by_weight.setdefault(e.weight, []).append(e)
-    w_pos: dict[int, dict[BasisElementW, int]] = {}
-    for e in bw:
-        block = w_pos.setdefault(e.weight, {})
-        block[e] = len(block)
-    total = 0
-    for weight, elems in v_by_weight.items():
-        targets = w_pos.get(weight, {})
-        if not targets:
-            continue
-        block = [[Fraction(0)] * len(elems) for _ in targets]
-        for col, elem in enumerate(elems):
-            for coeff, target in _dbar_images(elem, problem.K):
-                row = targets.get(target)
-                if row is None:
-                    raise BlockLeakError(
-                        f"D maps {elem} outside its weight block (target {target})"
-                    )
-                block[row][col] = Fraction(coeff)
-        total += _fraction_rank(block)
-    return total
-
-
-def exact_index(problem: GalerkinProblem) -> SpectralReport:
-    """Kernel, cokernel, and index of the truncated complex, exactly over Q."""
-    dim_v = len(problem.basis_v())
-    dim_w = len(problem.basis_w())
-    rank = _exact_rank_by_weight(problem)
-    label = None if problem.equivariance is None else problem.equivariance.label
+def _report(problem, dim_v, dim_w, rank, samples=(), pairing=None) -> SpectralReport:
     return SpectralReport(
         dim_V=dim_v,
         dim_W=dim_w,
         ker_dim=dim_v - rank,
         coker_dim=dim_w - rank,
         index_exact=(dim_v - rank) - (dim_w - rank),
-        supertrace_samples=(),
-        block_label=label,
+        supertrace_samples=tuple(samples),
+        block_label=None if problem.equivariance is None else problem.equivariance.label,
+        pairing_defect=pairing,
     )
+
+
+def exact_index(problem: GalerkinProblem) -> SpectralReport:
+    """Kernel, cokernel, and index of the truncated complex, exactly over Q."""
+    dim_v = dim_w = rank = 0
+    for _, bv, bw, d_block, _, _ in _weight_blocks(problem):
+        dim_v += len(bv)
+        dim_w += len(bw)
+        rank += _fraction_rank(d_block)
+    return _report(problem, dim_v, dim_w, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +332,39 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-def _gram_cholesky(gram: np.ndarray, problem: GalerkinProblem, space: str) -> np.ndarray:
-    """Lower Cholesky factor of a float Gram matrix; NumericalBreakdown if none."""
-    factor, info = dpotrf(gram, lower=1, clean=1)
+def _gram_cholesky(gram, problem: GalerkinProblem, space: str, weight: int) -> np.ndarray:
+    """Lower Cholesky factor of a Gram block in float; NumericalBreakdown if none."""
+    factor, info = dpotrf(np.array(gram, dtype=float), lower=1, clean=1)
     if info > 0:
-        raise NumericalBreakdown(problem.d, problem.K, space, info, gram.shape[0])
+        raise NumericalBreakdown(problem.d, problem.K, space, weight, info, len(gram))
     if info < 0:
         raise ValueError(f"LAPACK potrf rejected argument {-info}")
     return factor
 
 
-def _orthonormalized_operator(problem: GalerkinProblem) -> np.ndarray:
-    """D expressed in orthonormal bases: L_W^T D L_V^(-T), G = L L^T."""
-    n_v = len(problem.basis_v())
-    n_w = len(problem.basis_w())
-    if n_v == 0 or n_w == 0:
-        return np.zeros((n_w, n_v))
-    d_mat = np.array(build_dbar_matrix(problem), dtype=float)
-    g_v, g_w = gram_matrices(problem)
-    gv = np.array([[float(x) for x in row] for row in g_v])
-    gw = np.array([[float(x) for x in row] for row in g_w])
-    l_v = _gram_cholesky(gv, problem, "section")
-    l_w = _gram_cholesky(gw, problem, "form")
-    # D * L_V^(-T) via a triangular solve, then the L_W^T factor
-    right = solve_triangular(l_v, d_mat.T, lower=True).T
-    return l_w.T @ right
+def _block_spectra(problem: GalerkinProblem):
+    """One walk over the weight blocks: (rank over Q, evals_V, evals_W, sigma).
+
+    Per block D~ = L_W^T D L_V^(-T) with G = L L^T.  The block spectra are
+    sorted together.  sigma has min(dim_V, dim_W) entries, as for the full
+    D~, because n_V - n_W has the sign of d + 1 in every block.
+    """
+    rank = 0
+    parts_v, parts_w, parts_sigma = [], [], []
+    for weight, bv, bw, d_block, g_v, g_w in _weight_blocks(problem):
+        rank += _fraction_rank(d_block)
+        l_v = _gram_cholesky(g_v, problem, "section", weight)
+        l_w = _gram_cholesky(g_w, problem, "form", weight)
+        d_mat = np.array(d_block, dtype=float)
+        # D * L_V^(-T) via a triangular solve, then the L_W^T factor
+        d_tilde = l_w.T @ solve_triangular(l_v, d_mat.T, lower=True).T
+        parts_v.append(np.linalg.eigvalsh(d_tilde.T @ d_tilde))
+        parts_w.append(np.linalg.eigvalsh(d_tilde @ d_tilde.T))
+        parts_sigma.append(np.linalg.svd(d_tilde, compute_uv=False))
+    evals_v = np.sort(np.concatenate([np.zeros(0), *parts_v]))
+    evals_w = np.sort(np.concatenate([np.zeros(0), *parts_w]))
+    sigma = np.sort(np.concatenate([np.zeros(0), *parts_sigma]))
+    return rank, evals_v, evals_w, sigma
 
 
 def heat_spectra(problem: GalerkinProblem):
@@ -360,63 +376,39 @@ def heat_spectra(problem: GalerkinProblem):
     eigendecompositions are computed independently so that pairing of the
     nonzero spectra is a checkable property rather than a construction.
     """
-    d_tilde = _orthonormalized_operator(problem)
-    lap_v = d_tilde.T @ d_tilde
-    lap_w = d_tilde @ d_tilde.T
-    evals_v = np.linalg.eigvalsh(lap_v) if lap_v.size else np.zeros(lap_v.shape[0])
-    evals_w = np.linalg.eigvalsh(lap_w) if lap_w.size else np.zeros(lap_w.shape[0])
-    sigma = np.linalg.svd(d_tilde, compute_uv=False) if d_tilde.size else np.zeros(0)
-    return evals_v, evals_w, np.sort(sigma)
+    return _block_spectra(problem)[1:]
 
 
 def laplacian_pairing_defect(problem: GalerkinProblem) -> float:
-    """Largest relative mismatch between the paired nonzero spectra.
-
-    The exact rank says how many eigenvalues of each Laplacian are nonzero;
-    those tails must agree with each other and with sigma^2.
-    """
-    rank = _exact_rank_by_weight(problem)
-    evals_v, evals_w, sigma = heat_spectra(problem)
-    if rank == 0:
-        top = [np.max(np.abs(x), initial=0.0) for x in (evals_v, evals_w)]
-        return float(max(top))
-    pairs_v = evals_v[-rank:]
-    pairs_w = evals_w[-rank:]
-    sq = sigma[-rank:] ** 2
-    scale = float(np.max(sq))
-    defect = max(
-        float(np.max(np.abs(pairs_v - pairs_w))),
-        float(np.max(np.abs(pairs_v - sq))),
-    )
-    return defect / scale
+    """Largest relative mismatch between the paired nonzero spectra."""
+    return supertrace(problem, ()).pairing_defect
 
 
 def supertrace(
     problem: GalerkinProblem, t_values: tuple[float, ...] = (0.05, 0.5, 5.0)
 ) -> SpectralReport:
-    """Exact index data plus heat supertrace samples str(t).
+    """Exact index data, heat supertrace samples str(t) and the pairing defect.
 
     str(t) = tr exp(-t D~* D~) - tr exp(-t D~ D~*), evaluated from the two
     independently diagonalized Laplacians.  Zero modes contribute 1 each, so
     every sample should reproduce ker - coker regardless of t.
     """
-    base = exact_index(problem)
-    evals_v, evals_w, _ = heat_spectra(problem)
-    samples = []
-    for t in t_values:
-        if t < 0:
-            raise ValueError("heat time must be nonnegative")
-        value = float(np.sum(np.exp(-t * evals_v)) - np.sum(np.exp(-t * evals_w)))
-        samples.append((float(t), value))
-    return SpectralReport(
-        dim_V=base.dim_V,
-        dim_W=base.dim_W,
-        ker_dim=base.ker_dim,
-        coker_dim=base.coker_dim,
-        index_exact=base.index_exact,
-        supertrace_samples=tuple(samples),
-        block_label=base.block_label,
-    )
+    if any(t < 0 for t in t_values):
+        raise ValueError("heat time must be nonnegative")
+    rank, evals_v, evals_w, sigma = _block_spectra(problem)
+    samples = [
+        (float(t), float(np.sum(np.exp(-t * evals_v)) - np.sum(np.exp(-t * evals_w))))
+        for t in t_values
+    ]
+    # the exact rank says how many eigenvalues of each Laplacian are nonzero;
+    # those tails must agree with each other and with sigma^2
+    if rank == 0:
+        pairing = float(max(np.max(np.abs(x), initial=0.0) for x in (evals_v, evals_w)))
+    else:
+        pairs_v, sq = evals_v[-rank:], sigma[-rank:] ** 2
+        defect = max(np.max(np.abs(pairs_v - evals_w[-rank:])), np.max(np.abs(pairs_v - sq)))
+        pairing = float(defect / np.max(sq))
+    return _report(problem, len(evals_v), len(evals_w), rank, samples, pairing)
 
 
 def equivariant_block_index(l: int, m: int, K: int) -> int:
@@ -426,10 +418,7 @@ def equivariant_block_index(l: int, m: int, K: int) -> int:
     a congruent to m modulo l, so the result should match the section count
     of the order-l quotient family at parameter m.
     """
-    if not isinstance(l, int) or l < 2:
-        raise ValueError(f"l must be an integer >= 2, got {l!r}")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    _check_family_args(l, m)
     problem = GalerkinProblem(
         d=2 * m, K=K, equivariance=EquivariantRestriction(l=l, label=m % l)
     )

@@ -142,20 +142,46 @@ def test_heat_equivariant_block(capsys):
 
 
 def test_heat_numerical_breakdown_exit_code(capsys, monkeypatch):
-    # a Gram matrix that is not positive definite stands in for the float
-    # Cholesky breakdown of large problems (d=20, K=26)
-    exact_gram = galerkin.gram_matrices
+    # a Gram block that is not positive definite stands in for the float
+    # Cholesky breakdown of large problems (d=20, K=22 and up)
+    exact_blocks = galerkin._weight_blocks
 
-    def broken_gram(problem):
-        g_v, g_w = exact_gram(problem)
-        return [[-x for x in row] for row in g_v], g_w
+    def broken_blocks(problem):
+        for weight, bv, bw, d_block, g_v, g_w in exact_blocks(problem):
+            yield weight, bv, bw, d_block, [[-x for x in row] for row in g_v], g_w
 
-    monkeypatch.setattr(galerkin, "gram_matrices", broken_gram)
+    monkeypatch.setattr(galerkin, "_weight_blocks", broken_blocks)
     code, out, err = run_cli(capsys, ["heat", "--d", "2", "--K", "1"])
     assert code == 5
     assert out == ""
     assert err.startswith("error: numerical breakdown: ")
     assert "d=2, K=1" in err
+
+
+def test_heat_walks_the_blocks_once(capsys, monkeypatch):
+    walks = []
+    exact_blocks = galerkin._weight_blocks
+
+    def counted(problem):
+        walks.append(problem)
+        return exact_blocks(problem)
+
+    monkeypatch.setattr(galerkin, "_weight_blocks", counted)
+    code, out, _ = run_cli(capsys, ["heat", "--d", "3", "--K", "2", "--json"])
+    assert code == 0
+    assert len(walks) == 1
+    assert json.loads(out)["pairing_defect"] < 1e-10
+
+
+def test_heat_rejects_negative_time(capsys, monkeypatch):
+    def no_walk(problem):
+        raise AssertionError("heat times must be checked before any block is built")
+
+    monkeypatch.setattr(galerkin, "_weight_blocks", no_walk)
+    code, out, err = run_cli(capsys, ["heat", "--d", "3", "--K", "2", "--t", "0.5", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "heat time must be nonnegative" in err
 
 
 def test_heat_argument_conflicts(capsys):

@@ -18,6 +18,7 @@ from cstar_index import galerkin
 from cstar_index.galerkin import (
     BasisElementV,
     BasisElementW,
+    BlockLeakError,
     EquivariantRestriction,
     GalerkinProblem,
     NumericalBreakdown,
@@ -166,24 +167,79 @@ def test_laplacian_pairing():
 
 
 def test_gram_cholesky_breakdown_is_typed(monkeypatch):
-    # zeroing a diagonal entry of the form Gram matrix makes its second
+    # zeroing a diagonal entry of one form Gram block makes its second
     # leading minor nonpositive, as rounding does on large problems
-    exact_gram = galerkin.gram_matrices
+    exact_blocks = galerkin._weight_blocks
+    broken = {}
 
-    def broken_gram(problem):
-        g_v, g_w = exact_gram(problem)
-        g_w = [list(row) for row in g_w]
-        g_w[1][1] = Fraction(0)
-        return g_v, g_w
+    def broken_blocks(problem):
+        for weight, bv, bw, d_block, g_v, g_w in exact_blocks(problem):
+            if len(bw) >= 2 and not broken:
+                broken.update(weight=weight, size=len(bw))
+                g_w = [list(row) for row in g_w]
+                g_w[1][1] = Fraction(0)
+            yield weight, bv, bw, d_block, g_v, g_w
 
-    monkeypatch.setattr(galerkin, "gram_matrices", broken_gram)
+    monkeypatch.setattr(galerkin, "_weight_blocks", broken_blocks)
     with pytest.raises(NumericalBreakdown) as exc:
         heat_spectra(GalerkinProblem(d=1, K=2))
     err = exc.value
     assert not isinstance(err, ValueError)
     assert (err.d, err.K, err.space, err.minor) == (1, 2, "form", 2)
-    assert err.size == len(GalerkinProblem(d=1, K=2).basis_w())
+    assert (err.weight, err.size) == (broken["weight"], broken["size"])
     assert "leading minor 2" in str(err)
+    assert f"weight {broken['weight']}" in str(err)
+
+
+def _dense_spectra(problem):
+    """The full-matrix route: Cholesky of the whole Gram matrices, then the
+    eigensolves and the SVD of the whole orthonormalized operator."""
+    d_mat = np.array(build_dbar_matrix(problem), dtype=float)
+    g_v, g_w = gram_matrices(problem)
+    l_v = np.linalg.cholesky(np.array(g_v, dtype=float))
+    l_w = np.linalg.cholesky(np.array(g_w, dtype=float))
+    d_tilde = l_w.T @ np.linalg.solve(l_v, d_mat.T).T
+    return (
+        np.linalg.eigvalsh(d_tilde.T @ d_tilde),
+        np.linalg.eigvalsh(d_tilde @ d_tilde.T),
+        np.sort(np.linalg.svd(d_tilde, compute_uv=False)),
+    )
+
+
+def test_block_spectra_match_dense_oracle():
+    problems = [GalerkinProblem(d=d, K=K) for d, K in [(0, 1), (3, 4), (-3, 5), (6, 6)]]
+    problems.append(GalerkinProblem(d=8, K=4, equivariance=EquivariantRestriction(l=3, label=2)))
+    for p in problems:
+        for block, dense in zip(heat_spectra(p), _dense_spectra(p)):
+            assert block.shape == dense.shape, p
+            scale = max(1.0, float(np.max(dense, initial=0.0)))
+            np.testing.assert_allclose(block, dense, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_block_leak_is_detected(monkeypatch):
+    # the target w_{a,b} of v_{a,b} has weight a - b - 1, one below its source
+    monkeypatch.setattr(
+        galerkin, "_dbar_images", lambda elem, K: [(1, BasisElementW(elem.a, elem.b))]
+    )
+    p = GalerkinProblem(d=2, K=2)
+    for compute in (exact_index, supertrace, build_dbar_matrix):
+        with pytest.raises(BlockLeakError):
+            compute(p)
+
+
+def test_supertrace_walks_the_blocks_once(monkeypatch):
+    walks = []
+    exact_blocks = galerkin._weight_blocks
+
+    def counted(problem):
+        walks.append(problem)
+        return exact_blocks(problem)
+
+    monkeypatch.setattr(galerkin, "_weight_blocks", counted)
+    p = GalerkinProblem(d=3, K=3)
+    rep = supertrace(p)
+    assert walks == [p]
+    assert rep.pairing_defect < 1e-10
 
 
 def test_spectra_shapes_and_zero_modes():
