@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
 validation errors, 3 unwritable output path, 4 divergent measure parameters,
-5 numerical breakdown (the float Gram factorization in heat failed).
+5 numerical breakdown (the float Gram factorization in heat failed, or a
+measure quadrature did not converge within its budget).
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -40,6 +41,7 @@ from .measure import (
     DivergenceDetected,
     FiberMeasureParams,
     QuadratureConfig,
+    QuadratureError,
     lambda_m,
     projector_axioms_check,
     unity_check,
@@ -320,6 +322,9 @@ def cmd_measure(args) -> int:
     except DivergenceDetected as exc:
         print(f"error: divergent measure: {exc}", file=sys.stderr)
         return 4
+    except QuadratureError as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
+        return 5
     doc = {
         "lambda_m": lam,
         "unity_defect": abs(unity - 1.0),

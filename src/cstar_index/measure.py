@@ -10,13 +10,15 @@ where phi1 is 1 on [0, 1] and 0 from 2 on (a hard step switches at 1
 instead), and phi2 = 1 - phi1.  lambda_m is the total mass of r^(2m) against
 2 pi rho, and dv_m = (2 pi / lambda_m) rho normalizes that moment to one.
 
-The projector onto fiberwise weight m averages a function on the punctured
-plane against the m-th character of the scaling action,
+The projector onto fiberwise weight m averages a function over the orbit
+s e^(i g) w of a point w of the punctured plane against the m-th character
+of the scaling action.  Written in the radius t = s|w| of the orbit point,
 
-    (P_m u)(w) = |w|^(2m) * Int_0^inf Int_0^2pi u(s e^(i g) w) e^(-i m g)
-                 s^m (2 pi / lambda_m) rho(s |w|) |w| ds dg / 2pi,
+    (P_m u)(w) = |w|^m * Int_0^inf Int_0^2pi u(t e^(i g) w/|w|) e^(-i m g)
+                 t^m (2 pi / lambda_m) rho(t) dt dg / 2pi,
 
-and everything a calculus identity promises about it (idempotency,
+its radial weight does not depend on w, so one quadrature rule serves every
+point; and everything a calculus identity promises about it (idempotency,
 equivariance, killing other monomials, unit total mass of the pulled-back
 measure) is rechecked here numerically rather than assumed.
 
@@ -54,6 +56,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_MIN_REL_TOLERANCE = 1000 * np.finfo(float).eps
 
 
 class DivergenceDetected(ArithmeticError):
@@ -107,8 +110,10 @@ class QuadratureConfig:
     angular_nodes: int = 32
 
     def __post_init__(self) -> None:
-        if not (0 < self.rel_tolerance <= 0.1):
-            raise ValueError("rel_tolerance must lie in (0, 0.1]")
+        # unity_check hands 0.05 * rel_tolerance to scipy's quad, which
+        # refuses a relative tolerance below 50 machine epsilons
+        if not (_MIN_REL_TOLERANCE < self.rel_tolerance <= 0.1):
+            raise ValueError(f"rel_tolerance must lie in ({_MIN_REL_TOLERANCE:.3g}, 0.1]")
         if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 4:
             raise ValueError("max_subdivisions must be an integer >= 4")
         if not isinstance(self.angular_nodes, int) or self.angular_nodes < 8:
@@ -349,14 +354,17 @@ def project_m(
 ) -> Callable:
     """Projector onto fiberwise weight m, returned as a callable closure.
 
-    u must accept complex numpy arrays.  The returned function accepts a
-    complex scalar or array and evaluates the double integral with the
-    angular average first (the character sum is exact on trigonometric
-    polynomials of degree below the node count), then the adaptive radial
-    rule.  Radial rules are cached per modulus of the evaluation point, so
-    composing the projector with itself stays affordable: points that share
-    a modulus reuse one rule, and only the first encounter pays for
-    adaptivity.
+    u must accept complex numpy arrays.  In the orbit radius t the radial
+    weight W(t) = t^m rho(t) 2 pi / lambda_m does not depend on the point
+    (module docstring), so one rule with seams at 1 and sqrt(2) serves every
+    point.  It is built here, once, adaptively along the direction
+    w/|w| = 1, with the tolerance anchored to the magnitude envelope of the
+    integrand.  The returned function accepts a complex scalar or array and
+    evaluates all its points against the same ring of radial times angular
+    nodes (the character sum is exact on trigonometric polynomials of degree
+    below the node count).  It passes u at most 2**17 values per call, so
+    composing the projector with itself never holds all its inner values at
+    once.
     """
     lam = lambda_m(params, quad)
     m = params.m
@@ -366,75 +374,39 @@ def project_m(
     character = np.exp(-1j * m * gammas) / n_ang
     norm = 2.0 * math.pi / lam
 
-    rules: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    def _weight(t: np.ndarray) -> np.ndarray:
+        return t**m * radial_density(t, params) * norm
 
-    def _angular_average(svals: np.ndarray, w: complex) -> np.ndarray:
-        pts = np.multiply.outer(svals, xi_phases) * w
-        return np.asarray(u(pts)) @ character
+    def _profile(t: np.ndarray) -> np.ndarray:
+        return (np.asarray(u(np.multiply.outer(t, xi_phases))) @ character) * _weight(t)
 
-    def _profile(svals: np.ndarray, w: complex, r0: float) -> np.ndarray:
-        dens = radial_density(svals * r0, params)
-        return _angular_average(svals, w) * svals**m * dens * (norm * r0)
-
-    def _envelope(svals: np.ndarray, w: complex, r0: float) -> np.ndarray:
+    def _envelope(t: np.ndarray) -> np.ndarray:
         # magnitude profile of the same integrand with no phase cancellation
-        pts = np.multiply.outer(svals, xi_phases) * w
-        mags = np.abs(np.asarray(u(pts))) @ np.full(n_ang, 1.0 / n_ang)
-        return mags * svals**m * radial_density(svals * r0, params) * (norm * r0)
+        mags = np.abs(np.asarray(u(np.multiply.outer(t, xi_phases))))
+        return (mags @ np.full(n_ang, 1.0 / n_ang)) * _weight(t)
 
-    def _build_rule(w: complex, r0: float) -> tuple[np.ndarray, np.ndarray]:
-        seams = (1.0 / r0, _SQRT2 / r0)
-        floor = abs(
-            sum(
-                _panel_integral(lambda s: _envelope(s, w, r0), lo, hi, 4)
-                for lo, hi in ((0.0, seams[0]), (seams[0], seams[1]), (seams[1], 2 * seams[1]))
-            )
-        )
-        rec: list[tuple[float, float, int]] = []
-        _integrate_radial(
-            lambda s: _profile(s, w, r0),
-            seams,
-            quad,
-            record=rec,
-            scale_floor=floor,
-        )
-        nodes_parts = []
-        wts_parts = []
-        for lo, hi, n in rec:
-            pts, wts = _panel_points(lo, hi, n)
-            nodes_parts.append(pts)
-            wts_parts.append(wts)
-        nodes = np.concatenate(nodes_parts)
-        base = np.concatenate(wts_parts)
-        weights = base * nodes**m * radial_density(nodes * r0, params) * (norm * r0)
-        return nodes, weights
+    edges = (0.0, 1.0, _SQRT2, 2 * _SQRT2)
+    floor = abs(sum(_panel_integral(_envelope, lo, hi, 4) for lo, hi in zip(edges, edges[1:])))
+    rec: list[tuple[float, float, int]] = []
+    _integrate_radial(_profile, edges[1:3], quad, record=rec, scale_floor=floor)
+    panels = [_panel_points(lo, hi, n) for lo, hi, n in rec]
+    nodes = np.concatenate([pts for pts, _ in panels])
+    weights = np.concatenate([wts for _, wts in panels]) * _weight(nodes)
+    ring = np.multiply.outer(nodes, xi_phases)
+    chunk = max(1, 2**17 // ring.size)
 
     def projected(w):
         arr = np.asarray(w, dtype=complex)
         flat = arr.ravel()
-        out = np.empty(flat.shape, dtype=complex)
         moduli = np.abs(flat)
         if np.any(moduli == 0):
             raise ValueError("projector arguments must be nonzero")
-        # batch evaluation points sharing a modulus: they share the radial
-        # rule, and one vectorized call to u covers the whole group
-        order = np.argsort(moduli, kind="stable")
-        i = 0
-        while i < len(order):
-            j = i
-            r0 = float(moduli[order[i]])
-            while j < len(order) and moduli[order[j]] == r0:
-                j += 1
-            idx = order[i:j]
-            rule = rules.get(r0)
-            if rule is None:
-                rule = _build_rule(complex(flat[idx[0]]), r0)
-                rules[r0] = rule
-            nodes, weights = rule
-            pts = nodes[None, :, None] * xi_phases[None, None, :] * flat[idx][:, None, None]
-            avg = np.asarray(u(pts)) @ character
-            out[idx] = (avg @ weights) * r0 ** (2 * m)
-            i = j
+        units = flat / moduli
+        out = np.empty(flat.shape, dtype=complex)
+        for i in range(0, flat.size, chunk):
+            pts = units[i : i + chunk, None, None] * ring
+            out[i : i + chunk] = (np.asarray(u(pts)) @ character) @ weights
+        out *= moduli**m
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)

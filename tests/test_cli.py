@@ -215,6 +215,24 @@ def test_measure_divergent_exit_code(capsys):
     assert "divergent" in err
 
 
+def test_measure_quadrature_failure_exit_code(capsys):
+    # convergent (a > m/2), but the r^(-1.08) tail outlasts the window budget
+    code, out, err = run_cli(capsys, ["measure", "--a", "0.52", "--m", "1", "--skip-projector"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: numerical breakdown: ")
+    assert "tail did not settle" in err
+
+
+def test_measure_rejects_unreachable_tolerance(capsys):
+    code, out, err = run_cli(
+        capsys, ["measure", "--a", "1", "--m", "0", "--tol", "1e-13", "--skip-projector"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "rel_tolerance must lie in" in err
+
+
 def test_measure_with_projector(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -5,12 +5,14 @@ of the projector serve as independent oracles; divergence detection is
 exercised on purpose with parameters on the wrong side of a = m/2.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from cstar_index import measure
 from cstar_index.measure import (
     Cutoff,
     DivergenceDetected,
@@ -31,6 +33,11 @@ DEFAULT = QuadratureConfig()
 
 def _bump(w):
     return np.exp(-np.abs(w - 1.2) ** 2 / 0.4)
+
+
+def _bump_off_axis(w):
+    # centred away from the direction w/|w| = 1 the radial rule is built on
+    return np.exp(-np.abs(w + 1.2) ** 2 / 0.4)
 
 
 def test_radial_density_values():
@@ -83,6 +90,8 @@ def test_params_validation():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tolerance=0.0)
+    with pytest.raises(ValueError):
+        QuadratureConfig(rel_tolerance=1e-13)  # scipy quad cannot reach it
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=2)
     with pytest.raises(ValueError):
@@ -148,15 +157,15 @@ def test_projector_value_against_independent_oracle():
     # hard cutoff: lambda has a closed form, the radial integral goes to
     # scipy, and the angular average to a dense trapezoid rule, so no code
     # path is shared with project_m
-    for a, m in [(1.0, 0), (2.0, 1)]:
+    for (a, m), bump in itertools.product([(1.0, 0), (2.0, 1)], [_bump, _bump_off_axis]):
         p = FiberMeasureParams(a=a, m=m, cutoff=Cutoff.HARD_STEP)
         lam_exact = 2.0 * math.pi * (1.0 / (2 * m + 2) + 2 * a * a / (2 * a - m))
-        proj = project_m(_bump, p, QuadratureConfig(rel_tolerance=1e-8))
+        proj = project_m(bump, p, QuadratureConfig(rel_tolerance=1e-8))
         nphi = 512
         phis = 2.0 * np.pi * np.arange(nphi) / nphi
 
         def radial(t):
-            vals = _bump(t * np.exp(1j * phis))
+            vals = bump(t * np.exp(1j * phis))
             return float(np.real(np.mean(vals * np.exp(-1j * m * phis)))) * t**m
 
         i1 = scipy_quad(lambda t: radial(t) * t, 0, 1, epsabs=1e-13, epsrel=1e-12, limit=300)[0]
@@ -168,7 +177,43 @@ def test_projector_value_against_independent_oracle():
         for w in (0.8 * np.exp(1.1j), 1.3):
             got = proj(complex(w))
             want = complex(w) ** m * coefficient
-            assert abs(got - want) < 1e-7, (a, m, w)
+            assert abs(got - want) < 1e-7, (a, m, bump.__name__, w)
+
+
+def test_one_radial_rule_per_projector(monkeypatch):
+    builds = []
+    engine = measure._integrate_radial
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return engine(*args, **kwargs)
+
+    sizes = []
+
+    def recorded(f):
+        def g(w):
+            sizes.append(np.size(w))
+            return f(w)
+
+        return g
+
+    p = FiberMeasureParams(a=2.0, m=1)
+    q = QuadratureConfig(rel_tolerance=1e-3)
+    lambda_m(p, q)  # the normalization has its own radial integral, cached
+    monkeypatch.setattr(measure, "_integrate_radial", counted)
+    pu = project_m(recorded(_bump), p, q)
+    assert len(builds) == 1
+    grid = np.outer(np.linspace(0.3, 3.0, 40), np.exp(1j * np.linspace(0.0, 6.0, 5)))
+    vals = pu(grid)
+    assert len(builds) == 1  # 40 distinct moduli, still the one rule
+
+    ppu = project_m(recorded(pu), p, q)
+    assert len(builds) == 2
+    sizes.clear()
+    assert abs(ppu(grid[10, 1]) - vals[10, 1]) <= 10 * q.rel_tolerance
+    assert len(builds) == 2
+    # P(P u) hands both u and P u their ring values in bounded slices
+    assert sizes and max(sizes) <= 2**17
 
 
 def test_projector_shapes_and_zero_rejection():
