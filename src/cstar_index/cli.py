@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
 validation errors, 3 unwritable output path, 4 divergent measure parameters,
 5 numerical breakdown (the float Gram factorization in heat failed, or a
-measure quadrature did not converge within its budget).
+measure quadrature did not converge within its budget).  Any other error is
+a fault of the program and ends in a traceback with Python's exit status 1.
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -174,10 +175,10 @@ def render_sweep(rows: list[dict], fmt: str) -> str:
 def cmd_sweep(args) -> int:
     try:
         config = SweepConfig(l_max=args.l_max, m_max=args.m_max, fmt=args.format, out=args.out)
-        rows = sweep_rows(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    rows = sweep_rows(config)
     text = render_sweep(rows, config.fmt)
     if config.out is None:
         sys.stdout.write(text)
@@ -257,10 +258,13 @@ def cmd_heat(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--d is required unless --l/--m are given")
     try:
         problem = GalerkinProblem(d=d, K=args.K, equivariance=restriction)
-        report = supertrace(problem, tuple(args.t))
+        if any(t < 0 for t in args.t):
+            raise ValueError("heat time must be nonnegative")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        report = supertrace(problem, tuple(args.t))
     except NumericalBreakdown as exc:
         print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return 5

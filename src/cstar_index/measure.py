@@ -23,9 +23,12 @@ equivariance, killing other monomials, unit total mass of the pulled-back
 measure) is rechecked here numerically rather than assumed.
 
 Quadrature is composite Gauss-Legendre with seams at the cutoff breakpoints
-and geometrically growing tail windows.  Divergent parameter choices
-(a <= m/2) are detected empirically from the window ratios, not by a
-formula, so the integrability dichotomy is itself under test.
+and geometrically growing tail windows.  On each segment the panel count
+doubles from one 12-point panel until two successive estimates agree within
+the segment's share of the tolerance, so that error estimate, not a fixed
+minimum panel count, sets how many nodes a rule has.  Divergent parameter
+choices (a <= m/2) are detected empirically from the window ratios, not by
+a formula, so the integrability dichotomy is itself under test.
 """
 
 from __future__ import annotations
@@ -186,18 +189,23 @@ def _panel_integral(f, lo: float, hi: float, n_panels: int) -> complex:
 
 
 def _refine(f, lo: float, hi: float, tol_abs: float, max_subdivisions: int):
-    """Panel-doubling Gauss quadrature on [lo, hi]; returns (value, panels)."""
-    n = 2
+    """Panel-doubling Gauss quadrature on [lo, hi]; returns (value, panels).
+
+    The doubling starts from a single panel and stops at the first pair of
+    successive estimates within tol_abs, returning the finer one, so the
+    error estimate alone sets the size of the rule: there is no floor on
+    the panel count.  The finest rule tried has 2**(max_subdivisions + 1)
+    panels.
+    """
+    n = 1
     prev = _panel_integral(f, lo, hi, n)
-    for _ in range(max_subdivisions):
+    for _ in range(max_subdivisions + 1):
         n *= 2
         cur = _panel_integral(f, lo, hi, n)
         if abs(cur - prev) <= tol_abs:
             return cur, n
         prev = cur
-    raise QuadratureError(
-        f"no convergence on [{lo:g}, {hi:g}] within {max_subdivisions} doublings"
-    )
+    raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] with up to {n} panels")
 
 
 def _integrate_radial(

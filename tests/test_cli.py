@@ -184,6 +184,32 @@ def test_heat_rejects_negative_time(capsys, monkeypatch):
     assert "heat time must be nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["heat", "--d", "2", "--K", "1"], "galerkin", "_beta_moment"),
+        (["sweep", "--l-max", "3", "--m-max", "1"], "cli", "mu_closed"),
+    ],
+)
+def test_program_fault_is_not_a_bad_argument(argv, module, name):
+    # a ValueError raised after the arguments passed validation is a fault
+    # of the program: it exits 1 with a traceback, not 2 as a bad argument
+    script = (
+        "import sys\n"
+        f"from cstar_index import {module} as target\n"
+        "def fault(*args):\n"
+        "    raise ValueError('injected fault')\n"
+        f"target.{name} = fault\n"
+        "from cstar_index.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.rstrip().endswith("ValueError: injected fault")
+
+
 def test_heat_argument_conflicts(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["heat", "--d", "3", "--K", "2", "--l", "2", "--m", "2"])

@@ -5,9 +5,11 @@ of the projector serve as independent oracles; divergence detection is
 exercised on purpose with parameters on the wrong side of a = m/2.
 """
 
+import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -19,6 +21,7 @@ from cstar_index.measure import (
     FiberMeasureParams,
     ProjectorAxiomsReport,
     QuadratureConfig,
+    QuadratureError,
     lambda_m,
     project_m,
     projector_axioms_check,
@@ -123,6 +126,86 @@ def test_unity_check_is_one():
         for cutoff in (Cutoff.SMOOTH_BUMP, Cutoff.HARD_STEP):
             p = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
             assert abs(unity_check(p, TIGHT) - 1.0) < 1e-8, (a, m, cutoff)
+
+
+def _mp_phi1(x):
+    if x <= 1:
+        return mpmath.mpf(1)
+    if x >= 2:
+        return mpmath.mpf(0)
+    t = x - 1
+    return 1 / (1 + mpmath.exp(-(1 / t - 1 / (1 - t))))
+
+
+@functools.lru_cache(maxsize=None)
+def _lambda_mpmath(a, m):
+    # smooth-cutoff normalizing mass by mpmath tanh-sinh quadrature at 30
+    # digits, written from the density formula with no cstar_index code
+    with mpmath.workdps(30):
+        aa = mpmath.mpf(a)
+
+        def integrand(r):
+            p1 = _mp_phi1(r * r)
+            return r ** (2 * m) * (p1 + (1 - p1) * 4 * aa * aa * r ** (-4 * aa - 2)) * r
+
+        return float(2 * mpmath.pi * mpmath.quad(integrand, [0, 1, mpmath.sqrt(2), mpmath.inf]))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_smooth_cutoff_against_mpmath(tol):
+    # tail exponents 4a - 2m of 1.2, 2.07, 4 and 6
+    q = QuadratureConfig(rel_tolerance=tol)
+    for a, m in [(0.8, 1), (1.517, 2), (1.0, 0), (1.5, 0)]:
+        p = FiberMeasureParams(a=a, m=m)
+        ref = _lambda_mpmath(a, m)
+        lam = lambda_m(p, q)
+        unity = unity_check(p, q)
+        assert abs(lam - ref) <= 10 * tol * ref, (a, m)
+        assert abs(unity - 1.0) <= 10 * tol, (a, m)
+        # unity_check's numerator is its own route to lambda_m
+        assert abs(unity * lam - ref) <= 10 * tol * ref, (a, m)
+
+
+def test_refine_budget_and_failure():
+    panels = []
+
+    def unsettled(x):
+        # integrates to the node count times the length: never settles
+        panels.append(x.size // measure._GAUSS_X.size)
+        return np.full(x.shape, float(x.size))
+
+    with pytest.raises(QuadratureError):
+        measure._refine(unsettled, 0.0, 1.0, 1e-3, 5)
+    assert panels[0] == 1
+    assert max(panels) == 2 ** (5 + 1)
+
+    # a polynomial is exact on one panel, so the first comparison settles
+    val, n = measure._refine(lambda x: x * x, 0.0, 3.0, 1e-12, 5)
+    assert abs(val - 9.0) < 1e-12 and n == 2
+
+
+def test_radial_rule_size_set_by_error_estimate(monkeypatch):
+    sizes = []  # radial nodes of each rule a projector builds
+    engine = measure._integrate_radial
+
+    def recording(*args, **kwargs):
+        value = engine(*args, **kwargs)
+        if kwargs.get("record") is not None:
+            sizes.append(sum(n for _, _, n in kwargs["record"]) * measure._GAUSS_X.size)
+        return value
+
+    monkeypatch.setattr(measure, "_integrate_radial", recording)
+    p = FiberMeasureParams(a=1.0, m=0)
+    for k in range(-3, 4):
+        project_m(lambda w, k=k: w**k, p, DEFAULT)
+    # a killed monomial w**k, k != m, needs two segments and two tail
+    # windows, each settled at its first comparison: 4 x 2 panels x 12 nodes
+    assert sizes[:3] + sizes[4:] == [96] * 6
+    assert sizes[3] <= 216  # w**m itself
+    sizes.clear()
+    pu = project_m(_bump, p, DEFAULT)
+    project_m(pu, p, DEFAULT)
+    assert sizes[0] <= 144 and sizes[1] <= 216
 
 
 def test_divergence_detected_empirically():
