@@ -10,15 +10,12 @@ the count as an equivariant index in the first place.
 """
 
 from .exact import (
-    CyclotomicElement,
     NotRationalError,
     Rational,
-    assert_rational,
     cyclotomic_polynomial,
     format_rational,
     lefschetz_point_sum,
     parse_rational,
-    root_of_unity,
     unit_root_reciprocal_sum,
 )
 from .model import (
@@ -41,12 +38,8 @@ from .galerkin import (
     GalerkinProblem,
     NumericalBreakdown,
     SpectralReport,
-    build_dbar_matrix,
     equivariant_block_index,
     exact_index,
-    gram_matrices,
-    heat_spectra,
-    laplacian_pairing_defect,
     supertrace,
 )
 from .measure import (
@@ -72,9 +65,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "cyclotomic_polynomial",
-    "CyclotomicElement",
-    "root_of_unity",
-    "assert_rational",
     "lefschetz_point_sum",
     "unit_root_reciprocal_sum",
     "ValidationError",
@@ -101,11 +91,7 @@ __all__ = [
     "GalerkinProblem",
     "NumericalBreakdown",
     "SpectralReport",
-    "build_dbar_matrix",
-    "gram_matrices",
     "exact_index",
-    "heat_spectra",
-    "laplacian_pairing_defect",
     "supertrace",
     "equivariant_block_index",
     "DivergenceDetected",

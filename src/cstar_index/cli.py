@@ -29,8 +29,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .analytic import kappa
-from .exact import format_rational
+from .analytic import _check_family_args, kappa
+from .exact import format_rational, lefschetz_point_sum
 from .galerkin import (
     EquivariantRestriction,
     GalerkinProblem,
@@ -82,6 +82,11 @@ class SweepConfig:
 
 
 def cmd_verify(args) -> int:
+    try:
+        _check_family_args(args.l, args.m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = verify_identity(args.l, args.m)
     if args.json:
         doc = {"schema_version": SCHEMA_VERSION, "l": args.l, "m": args.m}
@@ -214,8 +219,6 @@ def cmd_kawasaki(args) -> int:
         return 2
     total = kawasaki_index(spec)
     if args.json:
-        from .exact import lefschetz_point_sum
-
         contributions = [
             format_rational(
                 lefschetz_point_sum(p.isotropy_order, p.normal_weight, p.bundle_weight)

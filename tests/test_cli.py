@@ -45,6 +45,16 @@ def test_verify_rejects_bad_arguments():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "l, m", [("1", "0"), ("0", "0"), ("-3", "0"), ("5", "-2")]
+)
+def test_verify_out_of_range_family_exits_2(capsys, l, m):
+    code, out, err = run_cli(capsys, ["verify", "--l", l, "--m", m])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be an integer" in err
+
+
 def test_sweep_csv_layout_and_determinism(capsys):
     argv = ["sweep", "--l-max", "4", "--m-max", "3"]
     code, out1, _ = run_cli(capsys, argv)

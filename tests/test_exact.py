@@ -3,8 +3,8 @@
 Every exact value asserted here is checked against an independent route:
 sympy for cyclotomic polynomials, a complex floating-point brute-force sum
 and the term-by-term field evaluation (one CyclotomicElement inversion per
-term) for the Lefschetz contributions, and closed forms for the reciprocal
-sums.
+term, from the test-side oracle in _cyclotomic_field.py) for the Lefschetz
+contributions, and closed forms for the reciprocal sums.
 """
 
 import cmath
@@ -15,15 +15,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from _cyclotomic_field import CyclotomicElement, assert_rational, root_of_unity
+from cstar_index import exact
 from cstar_index.exact import (
-    CyclotomicElement,
     NotRationalError,
-    assert_rational,
     cyclotomic_polynomial,
     format_rational,
     lefschetz_point_sum,
     parse_rational,
-    root_of_unity,
     unit_root_reciprocal_sum,
 )
 from cstar_index.topological import mu_bruteforce, mu_closed
@@ -204,6 +203,21 @@ def test_lefschetz_point_sum_matches_field_oracle():
                 continue
             for b in range(n):
                 assert lefschetz_point_sum(n, a, b) == _lefschetz_field_oracle(n, a, b), (n, a, b)
+
+
+def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch):
+    # x^0 forged to read 1 + x: the exponent-0 histogram weight then lands
+    # on the zeta coefficient, which the integer certificate must reject
+    n = 7
+    forged = exact._reduction_matrix(n).copy()
+    forged[0, 1] += 1
+    monkeypatch.setattr(exact, "_reduction_matrix", lambda order: forged)
+    exact._point_sum.cache_clear()
+    try:
+        with pytest.raises(NotRationalError):
+            lefschetz_point_sum(n, 1, 0)
+    finally:
+        exact._point_sum.cache_clear()
 
 
 def test_group_ring_inverse_identity():
