@@ -141,6 +141,9 @@ def _reduction_matrix(n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+_HIST_BLOCK = 2**20
+
+
 @lru_cache(maxsize=None)
 def _point_sum(n: int, a: int, b: int) -> Fraction:
     """Exact (1/n) sum_{k=1}^{n-1} zeta^(bk) / (1 - zeta^(-ak)), a a unit mod n.
@@ -150,13 +153,24 @@ def _point_sum(n: int, a: int, b: int) -> Fraction:
     e is the total weight i+1 of the pairs (k, i) with k(b - a i) = e mod n.
     That histogram is reduced once modulo Phi_n; the reduced integer vector
     is rational exactly when its coefficients beyond the constant term vanish.
+
+    The (k, i) exponent table is built in row blocks of at most _HIST_BLOCK
+    entries (one block up to n = 1024), so the histogram needs O(n) memory
+    beyond one block; the partial sums are integers below the 2**53 guard of
+    _reduction_matrix, so they stay exact.  The reduction matrix itself stays
+    O(n * phi(n)).
     """
     matrix = _reduction_matrix(n)
-    k = np.arange(1, n)
     i = np.arange(n)
-    exponents = np.outer(k, b - a * i) % n
-    weights = np.broadcast_to(i + 1, exponents.shape)
-    hist = np.bincount(exponents.ravel(), weights.ravel(), minlength=n)
+    shifts = b - a * i
+    rows = _HIST_BLOCK // n  # n is below 2**18 once the matrix guard passes
+    hist = np.zeros(n)
+    for k0 in range(1, n, rows):
+        exponents = np.outer(np.arange(k0, min(k0 + rows, n)), shifts)
+        exponents %= n  # in place: no third block-sized array
+        weights = np.empty(exponents.shape)
+        weights[:] = i + 1  # faster than raveling np.broadcast_to for small n
+        hist += np.bincount(exponents.ravel(), weights.ravel(), minlength=n)
     coeffs = hist.astype(np.int64) @ matrix
     if coeffs[1:].any():
         raise NotRationalError(

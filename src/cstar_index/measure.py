@@ -18,9 +18,11 @@ of the scaling action.  Written in the radius t = s|w| of the orbit point,
                  t^m (2 pi / lambda_m) rho(t) dt dg / 2pi,
 
 its radial weight does not depend on w, so one quadrature rule serves every
-point; and everything a calculus identity promises about it (idempotency,
-equivariance, killing other monomials, unit total mass of the pulled-back
-measure) is rechecked here numerically rather than assumed.
+point, and the integral depends on w only through |w|^m and the direction
+w/|w|: points on one ray share one ring evaluation.  Everything a calculus
+identity promises about it (idempotency, equivariance, killing other
+monomials, unit total mass of the pulled-back measure) is rechecked here
+numerically rather than assumed.
 
 Quadrature is composite Gauss-Legendre with seams at the cutoff breakpoints
 and geometrically growing tail windows.  On each segment the panel count
@@ -367,12 +369,15 @@ def project_m(
     (module docstring), so one rule with seams at 1 and sqrt(2) serves every
     point.  It is built here, once, adaptively along the direction
     w/|w| = 1, with the tolerance anchored to the magnitude envelope of the
-    integrand.  The returned function accepts a complex scalar or array and
-    evaluates all its points against the same ring of radial times angular
-    nodes (the character sum is exact on trigonometric polynomials of degree
-    below the node count).  It passes u at most 2**17 values per call, so
-    composing the projector with itself never holds all its inner values at
-    once.
+    integrand.  The returned function accepts a complex scalar or array of
+    finite nonzero points and evaluates u once on the ring of radial times
+    angular nodes turned to each distinct direction w/|w| (the character sum
+    is exact on trigonometric polynomials of degree below the node count);
+    points on one ray share that evaluation and differ only by |w|^m.  So
+    the nested P(P u), whose outer ring holds many radii along each of its
+    angular directions, evaluates u once per direction, not once per node.
+    It passes u at most 2**17 values per call, so composing the projector
+    with itself never holds all its inner values at once.
     """
     lam = lambda_m(params, quad)
     m = params.m
@@ -407,14 +412,14 @@ def project_m(
         arr = np.asarray(w, dtype=complex)
         flat = arr.ravel()
         moduli = np.abs(flat)
-        if np.any(moduli == 0):
-            raise ValueError("projector arguments must be nonzero")
-        units = flat / moduli
-        out = np.empty(flat.shape, dtype=complex)
-        for i in range(0, flat.size, chunk):
-            pts = units[i : i + chunk, None, None] * ring
-            out[i : i + chunk] = (np.asarray(u(pts)) @ character) @ weights
-        out *= moduli**m
+        if not np.all(np.isfinite(moduli) & (moduli > 0)):
+            raise ValueError("projector arguments must be nonzero and finite")
+        dirs, inverse = np.unique(flat / moduli, return_inverse=True)
+        vals = np.empty(dirs.shape, dtype=complex)
+        for i in range(0, dirs.size, chunk):
+            pts = dirs[i : i + chunk, None, None] * ring
+            vals[i : i + chunk] = (np.asarray(u(pts)) @ character) @ weights
+        out = vals[inverse] * moduli**m
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)

@@ -267,3 +267,14 @@ def test_unit_root_reciprocal_sum_values():
 def test_unit_root_reciprocal_sum_closed_form():
     for n in range(2, 51):
         assert unit_root_reciprocal_sum(n) == Fraction(-(n - 1), 2)
+
+
+@pytest.mark.parametrize("n", [1031, 1499])
+def test_point_sums_across_histogram_blocks(n):
+    # the (k, i) exponent table of these orders spans at least two blocks
+    assert (n - 1) * n > exact._HIST_BLOCK
+    assert unit_root_reciprocal_sum(n) == Fraction(-(n - 1), 2)
+    value = lefschetz_point_sum(n, 7, 13)
+    approx = _lefschetz_float(n, 7, 13)
+    assert abs(approx.imag) < 1e-9
+    assert abs(approx.real - float(value)) < 1e-9

@@ -184,8 +184,10 @@ def test_refine_budget_and_failure():
     assert abs(val - 9.0) < 1e-12 and n == 2
 
 
-def test_radial_rule_size_set_by_error_estimate(monkeypatch):
-    sizes = []  # radial nodes of each rule a projector builds
+@pytest.fixture
+def rule_sizes(monkeypatch):
+    """Radial node counts of the rules projectors build, in build order."""
+    sizes = []
     engine = measure._integrate_radial
 
     def recording(*args, **kwargs):
@@ -195,17 +197,21 @@ def test_radial_rule_size_set_by_error_estimate(monkeypatch):
         return value
 
     monkeypatch.setattr(measure, "_integrate_radial", recording)
+    return sizes
+
+
+def test_radial_rule_size_set_by_error_estimate(rule_sizes):
     p = FiberMeasureParams(a=1.0, m=0)
     for k in range(-3, 4):
         project_m(lambda w, k=k: w**k, p, DEFAULT)
     # a killed monomial w**k, k != m, needs two segments and two tail
     # windows, each settled at its first comparison: 4 x 2 panels x 12 nodes
-    assert sizes[:3] + sizes[4:] == [96] * 6
-    assert sizes[3] <= 216  # w**m itself
-    sizes.clear()
+    assert rule_sizes[:3] + rule_sizes[4:] == [96] * 6
+    assert rule_sizes[3] <= 216  # w**m itself
+    rule_sizes.clear()
     pu = project_m(_bump, p, DEFAULT)
     project_m(pu, p, DEFAULT)
-    assert sizes[0] <= 144 and sizes[1] <= 216
+    assert rule_sizes[0] <= 144 and rule_sizes[1] <= 216
 
 
 def test_divergence_detected_empirically():
@@ -306,8 +312,59 @@ def test_projector_shapes_and_zero_rejection():
     vals = proj(grid)
     assert vals.shape == grid.shape
     assert isinstance(proj(1.0 + 0.5j), complex)
+    for bad in (0.0, math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError):
+            proj(bad)
     with pytest.raises(ValueError):
-        proj(0.0)
+        proj(np.array([1.0, math.nan]))
+
+
+def _counting(f, counts):
+    def g(w):
+        counts.append(np.size(w))
+        return f(w)
+
+    return g
+
+
+def test_projector_evaluates_each_direction_once(rule_sizes):
+    # 7 moduli 2**k on each of 5 angles: scaling by a power of two is exact,
+    # so the 35 points have exactly 5 bitwise-distinct directions
+    p = FiberMeasureParams(a=2.0, m=1)
+    counts = []
+    proj = project_m(_counting(_bump, counts), p, DEFAULT)
+    ring_size = rule_sizes[0] * DEFAULT.angular_nodes
+    angles = np.exp(1j * np.array([0.3, 1.7, 2.9, -0.8, -2.2]))
+    points = np.multiply.outer(2.0 ** np.arange(-3, 4), angles).ravel()
+    grid = np.random.default_rng(8).permutation(points).reshape(5, 7)
+    counts.clear()
+    vals = proj(grid)
+    assert sum(counts) == 5 * ring_size
+    assert vals.shape == grid.shape
+    for z, got in zip(grid.ravel(), vals.ravel()):
+        want = proj(complex(z))
+        assert abs(got - want) <= 1e-15 * abs(want), z
+
+
+def test_nested_projector_inner_work_per_direction(rule_sizes):
+    p = FiberMeasureParams(a=1.0, m=0)
+    inner_counts = []
+    outer_args = []
+
+    def recorded_pu(w):
+        outer_args.append(np.array(w, dtype=complex).ravel())
+        return pu(w)
+
+    pu = project_m(_counting(_bump, inner_counts), p, DEFAULT)
+    ppu = project_m(recorded_pu, p, DEFAULT)
+    inner_ring = rule_sizes[0] * DEFAULT.angular_nodes
+    outer_args.clear()
+    inner_counts.clear()
+    ppu(complex(np.exp(2.5j)))
+    received = np.concatenate(outer_args)
+    distinct = {complex(d) for d in received / np.abs(received)}
+    assert len(distinct) < received.size
+    assert sum(inner_counts) == inner_ring * len(distinct)
 
 
 def test_projector_axioms_at_default_tolerance():
