@@ -28,6 +28,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .analytic import _check_family_args, kappa
 from .exact import format_rational, lefschetz_point_sum
@@ -354,7 +355,9 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="cstar-index",
         description="Exact and numerical index checks for equivariant line bundles over orbifold curves.",
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--K", type=int, required=True)
     p_heat.add_argument("--l", type=int, default=None)
     p_heat.add_argument("--m", type=int, default=None)
-    p_heat.add_argument("--t", type=float, nargs="+", default=[0.05, 0.5, 5.0])
+    p_heat.add_argument("--t", type=float, nargs="+", default=(0.05, 0.5, 5.0))
     p_heat.add_argument("--json", action="store_true")
 
     p_measure = sub.add_parser("measure", help="fiber measure diagnostics")

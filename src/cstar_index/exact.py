@@ -121,8 +121,12 @@ def _reduction_matrix(n: int) -> np.ndarray:
     x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}); Phi_n is monic, so
     every entry is an integer.  A point-sum histogram has entries summing to
     (n-1) * n(n+1)/2; the bound check keeps that sum exact in float64 and
-    its product with this matrix exact in int64.
+    its product with this matrix exact in int64.  The first bound depends on
+    n alone, so it is checked before anything is built.
     """
+    weight = (n - 1) * n * (n + 1) // 2
+    if weight >= 2**53:
+        raise OverflowError(f"order {n} is too large for exact int64 point sums")
     big_phi = cyclotomic_polynomial(n)
     phi = len(big_phi) - 1
     fold = [-c for c in big_phi[:phi]]
@@ -135,8 +139,7 @@ def _reduction_matrix(n: int) -> np.ndarray:
         if lead:
             row = [r + lead * f for r, f in zip(row, fold)]
     top = max(abs(c) for r in rows for c in r)
-    weight = (n - 1) * n * (n + 1) // 2
-    if weight >= 2**53 or top * weight >= 2**63:
+    if top * weight >= 2**63:
         raise OverflowError(f"order {n} is too large for exact int64 point sums")
     return np.array(rows, dtype=np.int64)
 
@@ -163,7 +166,7 @@ def _point_sum(n: int, a: int, b: int) -> Fraction:
     matrix = _reduction_matrix(n)
     i = np.arange(n)
     shifts = b - a * i
-    rows = _HIST_BLOCK // n  # n is below 2**18 once the matrix guard passes
+    rows = _HIST_BLOCK // n  # n is at most 2**18 once the matrix guard passes
     hist = np.zeros(n)
     for k0 in range(1, n, rows):
         exponents = np.outer(np.arange(k0, min(k0 + rows, n)), shifts)

@@ -19,10 +19,13 @@ of the scaling action.  Written in the radius t = s|w| of the orbit point,
 
 its radial weight does not depend on w, so one quadrature rule serves every
 point, and the integral depends on w only through |w|^m and the direction
-w/|w|: points on one ray share one ring evaluation.  Everything a calculus
-identity promises about it (idempotency, equivariance, killing other
-monomials, unit total mass of the pulled-back measure) is rechecked here
-numerically rather than assumed.
+w/|w|: points on one ray share one ring evaluation.  Each projector keeps
+the value of every direction it has evaluated, so it evaluates u once per
+distinct direction over its whole life, not once per call; u must
+therefore be a pure function.  Everything a calculus identity promises
+about the projector (idempotency, equivariance, killing other monomials,
+unit total mass of the pulled-back measure) is rechecked here numerically
+rather than assumed.
 
 Quadrature is composite Gauss-Legendre with seams at the cutoff breakpoints
 and geometrically growing tail windows.  On each segment the panel count
@@ -370,14 +373,20 @@ def project_m(
     point.  It is built here, once, adaptively along the direction
     w/|w| = 1, with the tolerance anchored to the magnitude envelope of the
     integrand.  The returned function accepts a complex scalar or array of
-    finite nonzero points and evaluates u once on the ring of radial times
-    angular nodes turned to each distinct direction w/|w| (the character sum
-    is exact on trigonometric polynomials of degree below the node count);
-    points on one ray share that evaluation and differ only by |w|^m.  So
-    the nested P(P u), whose outer ring holds many radii along each of its
-    angular directions, evaluates u once per direction, not once per node.
-    It passes u at most 2**17 values per call, so composing the projector
-    with itself never holds all its inner values at once.
+    finite nonzero points.  Its value at w is |w|^m times the character sum
+    of u on the ring of radial times angular nodes turned to the direction
+    w/|w| (exact on trigonometric polynomials of degree below the node
+    count).  The projector keeps that sum for every direction it has seen,
+    keyed on the exact direction, and evaluates u only on directions no
+    earlier call asked for: u runs once per distinct direction over the
+    projector's whole life.  So u must be a pure function, and the memory a
+    projector holds grows with the number of distinct directions queried
+    (two complex numbers each).  Nothing is shared between projectors.  The
+    nested P(P u), whose outer rule feeds the inner projector many radii on
+    the same few hundred directions call after call, evaluates the inner u
+    once per direction, not once per node or per call.  It passes u at most
+    2**17 values per call, so composing the projector with itself never
+    holds all its inner values at once.
     """
     lam = lambda_m(params, quad)
     m = params.m
@@ -407,19 +416,31 @@ def project_m(
     weights = np.concatenate([wts for _, wts in panels]) * _weight(nodes)
     ring = np.multiply.outer(nodes, xi_phases)
     chunk = max(1, 2**17 // ring.size)
+    # every direction evaluated so far, sorted, and its ring value
+    memo_dirs = np.empty(0, dtype=complex)
+    memo_vals = np.empty(0, dtype=complex)
 
     def projected(w):
+        nonlocal memo_dirs, memo_vals
         arr = np.asarray(w, dtype=complex)
         flat = arr.ravel()
         moduli = np.abs(flat)
         if not np.all(np.isfinite(moduli) & (moduli > 0)):
             raise ValueError("projector arguments must be nonzero and finite")
         dirs, inverse = np.unique(flat / moduli, return_inverse=True)
-        vals = np.empty(dirs.shape, dtype=complex)
-        for i in range(0, dirs.size, chunk):
-            pts = dirs[i : i + chunk, None, None] * ring
-            vals[i : i + chunk] = (np.asarray(u(pts)) @ character) @ weights
-        out = vals[inverse] * moduli**m
+        at = np.searchsorted(memo_dirs, dirs)
+        known = at < memo_dirs.size
+        known[known] = memo_dirs[at[known]] == dirs[known]
+        missing = dirs[~known]
+        if missing.size:
+            vals = np.empty(missing.shape, dtype=complex)
+            for i in range(0, missing.size, chunk):
+                pts = missing[i : i + chunk, None, None] * ring
+                vals[i : i + chunk] = (np.asarray(u(pts)) @ character) @ weights
+            memo_dirs = np.insert(memo_dirs, at[~known], missing)
+            memo_vals = np.insert(memo_vals, at[~known], vals)
+            at = np.searchsorted(memo_dirs, dirs)
+        out = memo_vals[at][inverse] * moduli**m
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)
@@ -465,15 +486,21 @@ def projector_axioms_check(
     near m and fixes w^m (monomial_defect); P_m(P_m u) = P_m u for generic
     test functions (idempotency_defect); P_m u transforms with the m-th
     character under scaling of the argument (equivariance_defect); and the
-    pulled-back fiber measure has unit mass (measure_total_defect).
+    pulled-back fiber measure has unit mass (measure_total_defect).  A
+    monomial whose projection diverges raises DivergenceDetected naming its
+    exponent k.
     """
     if test_functions is None:
         test_functions = (_default_bump,)
     m = params.m
+    lambda_m(params, quad)  # a divergent normalization raises as itself, not as a monomial's
 
     monomial = 0.0
     for k in range(m - 3, m + 4):
-        proj = project_m(lambda w, k=k: w**k, params, quad)
+        try:
+            proj = project_m(lambda w, k=k: w**k, params, quad)
+        except DivergenceDetected as exc:
+            raise DivergenceDetected(f"projecting the monomial w^{k}: {exc}") from exc
         for p in _PROBE_POINTS:
             got = proj(complex(p))
             want = complex(p) ** m if k == m else 0.0

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from cstar_index import galerkin
-from cstar_index.cli import main
+from cstar_index.cli import build_parser, main
 from cstar_index.model import ExampleFamilySpec, example_to_kawasaki, kawasaki_to_json_dict
 
 
@@ -269,6 +270,18 @@ def test_measure_rejects_unreachable_tolerance(capsys):
     assert "rel_tolerance must lie in" in err
 
 
+def test_measure_names_the_divergent_probe(capsys):
+    # lambda_2 converges for a = 1.5, but the axioms check's monomial w^5
+    # times the weight t^2 rho(t) leaves a tail that does not decay
+    code, out, _ = run_cli(capsys, ["measure", "--a", "1.5", "--m", "2", "--skip-projector"])
+    assert code == 0
+    assert math.isfinite(json.loads(out)["lambda_m"])
+    code, out, err = run_cli(capsys, ["measure", "--a", "1.5", "--m", "2"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: divergent measure: projecting the monomial w^5: ")
+
+
 def test_measure_with_projector(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -280,6 +293,44 @@ def test_measure_with_projector(capsys):
     assert doc["equivariance_defect"] < 1e-3
     assert doc["monomial_defect"] < 1e-3
     assert doc["measure_total_defect"] < 1e-3
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    family = example_to_kawasaki(ExampleFamilySpec(l=4, m=5))
+    spec.write_text(json.dumps(kawasaki_to_json_dict(family)))
+    argvs = [
+        ["verify", "--l", "12", "--m", "35", "--json"],
+        ["sweep", "--l-max", "4", "--m-max", "3"],
+        ["kawasaki", "--spec", str(spec), "--json"],
+        ["heat", "--d", "3", "--K", "2", "--json"],
+        ["measure", "--a", "1", "--m", "0", "--tol", "1e-3"],
+        ["verify", "--l", "1", "--m", "0"],
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, argv))
+    build_parser.cache_clear()
+    for _ in range(2):
+        for argv, want in zip(argvs, fresh):
+            assert run_cli(capsys, argv) == want, argv
+    assert build_parser.cache_info().misses == 1
+
+    # the shared parser reports a bad argument on whatever stderr is current
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf), pytest.raises(SystemExit) as exc:
+        main(["verify", "--l", "two", "--m", "0"])
+    assert exc.value.code == 2
+    assert buf.getvalue().startswith("usage: cstar-index verify")
+    assert "invalid int value: 'two'" in buf.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+    # the default heat times are immutable, so no call can alter the next
+    args = build_parser().parse_args(["heat", "--d", "3", "--K", "2"])
+    assert args.t == (0.05, 0.5, 5.0)
+    with pytest.raises(AttributeError):
+        args.t.append(1.0)
 
 
 def test_console_script_entry_point():

@@ -220,6 +220,21 @@ def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch):
         exact._point_sum.cache_clear()
 
 
+def test_order_past_the_guard_raises_before_building(monkeypatch):
+    # 2**18 + 1 is the least order whose histogram weight (n-1)n(n+1)/2
+    # reaches 2**53, so its point sums cannot be exact; that must be known
+    # before Phi_n or the n x phi(n) reduction table is built
+    n = 2**18 + 1
+    assert (n - 2) * (n - 1) * n // 2 < 2**53 <= (n - 1) * n * (n + 1) // 2
+
+    def no_build(order):
+        raise AssertionError(f"Phi_{order} was built past the order guard")
+
+    monkeypatch.setattr(exact, "cyclotomic_polynomial", no_build)
+    with pytest.raises(OverflowError, match="too large"):
+        lefschetz_point_sum(n, 1, 0)
+
+
 def test_group_ring_inverse_identity():
     # 1/(1 - x) = -(1/n) sum_{i<n} (i+1) x^i for every x = zeta_n^j, j != 0
     for n in range(2, 25):

@@ -367,6 +367,64 @@ def test_nested_projector_inner_work_per_direction(rule_sizes):
     assert sum(inner_counts) == inner_ring * len(distinct)
 
 
+def test_repeated_call_reuses_every_direction(rule_sizes):
+    p = FiberMeasureParams(a=2.0, m=1)
+    counts = []
+    proj = project_m(_counting(_bump, counts), p, DEFAULT)
+    grid = np.outer(np.linspace(0.3, 3.0, 7), np.exp(1j * np.linspace(-3.0, 3.0, 11)))
+    counts.clear()
+    first = proj(grid)
+    ring_size = rule_sizes[0] * DEFAULT.angular_nodes
+    assert sum(counts) == ring_size * np.unique(grid / np.abs(grid)).size
+    counts.clear()
+    again = proj(grid)
+    assert sum(counts) == 0
+    assert again.tobytes() == first.tobytes()
+
+
+def test_nested_build_evaluates_inner_once_per_direction(rule_sizes):
+    # the outer rule build calls the inner projector many times, largely on
+    # the same directions: the inner u sees each of them once over all calls
+    p = FiberMeasureParams(a=1.0, m=0)
+    inner_counts = []
+    outer_args = []
+
+    def recorded_pu(w):
+        outer_args.append(np.array(w, dtype=complex).ravel())
+        return pu(w)
+
+    pu = project_m(_counting(_bump, inner_counts), p, DEFAULT)
+    inner_ring = rule_sizes[0] * DEFAULT.angular_nodes
+    inner_counts.clear()
+    project_m(recorded_pu, p, DEFAULT)
+    received = np.concatenate(outer_args)
+    distinct = {complex(d) for d in received / np.abs(received)}
+    assert len(outer_args) > 1
+    assert sum(inner_counts) <= inner_ring * len(distinct)
+    assert sum(inner_counts) < inner_ring * sum(
+        np.unique(w / np.abs(w)).size for w in outer_args
+    )
+
+
+def test_projectors_share_no_memo():
+    p = FiberMeasureParams(a=1.0, m=0)
+    counts = []
+    u = _counting(_bump, counts)
+    first, second = project_m(u, p, DEFAULT), project_m(u, p, DEFAULT)
+    z = 0.9 * np.exp(0.7j)
+    counts.clear()
+    value = first(z)
+    seen = sum(counts)
+    assert seen > 0
+    counts.clear()
+    assert second(z) == value
+    assert sum(counts) == seen
+    counts.clear()
+    first(z)
+    second(z)
+    assert sum(counts) == 0
+
+
 def test_projector_axioms_at_default_tolerance():
     p = FiberMeasureParams(a=1.0, m=0)
     rep = projector_axioms_check(p, DEFAULT)
