@@ -11,8 +11,11 @@ Subcommands:
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
 validation errors, 3 unwritable output path, 4 divergent measure parameters,
 5 numerical breakdown (the float Gram factorization in heat failed, or a
-measure quadrature did not converge within its budget).  Any other error is
-a fault of the program and ends in a traceback with Python's exit status 1.
+measure quadrature did not converge within its budget).  Each subcommand
+returns 0 to 3 itself; codes 4 and 5 come from one table, `_ERROR_EXITS`,
+through which `main` reports the typed numerical errors of every
+subcommand.  Any other error is a fault of the program and ends in a
+traceback with Python's exit status 1.
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -27,7 +30,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .analytic import _check_family_args, kappa
@@ -52,7 +54,6 @@ from .model import SCHEMA_VERSION, ValidationError, kawasaki_from_json_dict
 from .topological import hrr_term, kawasaki_index, mu_bruteforce, mu_closed, verify_identity
 
 __all__ = [
-    "SweepConfig",
     "cmd_verify",
     "cmd_sweep",
     "cmd_kawasaki",
@@ -61,20 +62,11 @@ __all__ = [
     "main",
 ]
 
-@dataclass(frozen=True)
-class SweepConfig:
-    l_max: int
-    m_max: int
-    fmt: str = "csv"
-    out: str | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.l_max, int) or self.l_max < 2:
-            raise ValueError("l_max must be an integer >= 2")
-        if not isinstance(self.m_max, int) or self.m_max < 0:
-            raise ValueError("m_max must be an integer >= 0")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be 'csv' or 'json'")
+def _fail(message, code: int = 2) -> int:
+    """Report an error on stderr and return its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +78,7 @@ def cmd_verify(args) -> int:
     try:
         _check_family_args(args.l, args.m)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc)
     report = verify_identity(args.l, args.m)
     if args.json:
         doc = {"schema_version": SCHEMA_VERSION, "l": args.l, "m": args.m}
@@ -110,91 +101,58 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_row(l: int, m: int) -> dict:
+    """One output row, keyed and ordered by column, rationals as p/q strings."""
     k = kappa(l, m)
     hrr = hrr_term(l, m)
     mu_c = mu_closed(l, m)
     mu_b = mu_bruteforce(l, m)
     total = hrr + 2 * mu_b
-    agree = (mu_c == mu_b) and (total == k)
     return {
         "l": l,
         "m": m,
         "kappa": k,
-        "hrr": hrr,
-        "mu_closed": mu_c,
-        "mu_bruteforce": mu_b,
-        "total": total,
-        "agree": agree,
+        "hrr": format_rational(hrr),
+        "mu_closed": format_rational(mu_c),
+        "mu_bruteforce": format_rational(mu_b),
+        "total": format_rational(total),
+        "agree": (mu_c == mu_b) and (total == k),
     }
 
 
-def sweep_rows(config: SweepConfig) -> list[dict]:
+def sweep_rows(l_max: int, m_max: int) -> list[dict]:
     """All grid rows, l-major then m-minor."""
-    return [
-        _sweep_row(l, m)
-        for l in range(2, config.l_max + 1)
-        for m in range(0, config.m_max + 1)
-    ]
-
-
-_CSV_COLUMNS = ("l", "m", "kappa", "hrr", "mu_closed", "mu_bruteforce", "total", "agree")
+    return [_sweep_row(l, m) for l in range(2, l_max + 1) for m in range(0, m_max + 1)]
 
 
 def render_sweep(rows: list[dict], fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["l"],
-                    row["m"],
-                    row["kappa"],
-                    format_rational(row["hrr"]),
-                    format_rational(row["mu_closed"]),
-                    format_rational(row["mu_bruteforce"]),
-                    format_rational(row["total"]),
-                    "true" if row["agree"] else "false",
-                ]
-            )
-        return buf.getvalue()
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "rows": [
-            {
-                "l": row["l"],
-                "m": row["m"],
-                "kappa": row["kappa"],
-                "hrr": format_rational(row["hrr"]),
-                "mu_closed": format_rational(row["mu_closed"]),
-                "mu_bruteforce": format_rational(row["mu_bruteforce"]),
-                "total": format_rational(row["total"]),
-                "agree": row["agree"],
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    """Non-empty sweep rows as CSV (the keys as header, agree as true/false) or JSON."""
+    if fmt == "json":
+        return json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        cells = list(row.values())
+        cells[-1] = "true" if cells[-1] else "false"
+        writer.writerow(cells)
+    return buf.getvalue()
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = SweepConfig(l_max=args.l_max, m_max=args.m_max, fmt=args.format, out=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = sweep_rows(config)
-    text = render_sweep(rows, config.fmt)
-    if config.out is None:
+    if args.l_max < 2:
+        return _fail("l_max must be an integer >= 2")
+    if args.m_max < 0:
+        return _fail("m_max must be an integer >= 0")
+    rows = sweep_rows(args.l_max, args.m_max)
+    text = render_sweep(rows, args.format)
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
-            return 3
+            return _fail(f"cannot write {args.out}: {exc}", 3)
     return 0 if all(row["agree"] for row in rows) else 1
 
 
@@ -208,16 +166,13 @@ def cmd_kawasaki(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"cannot read {args.spec}: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"error: {args.spec} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"{args.spec} is not valid JSON: {exc}")
     try:
         spec = kawasaki_from_json_dict(doc)
     except ValidationError as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"invalid spec: {exc}")
     total = kawasaki_index(spec)
     if args.json:
         contributions = [
@@ -247,7 +202,8 @@ def cmd_kawasaki(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_heat(args, parser: argparse.ArgumentParser) -> int:
+def cmd_heat(args) -> int:
+    parser = build_parser()  # its top-level usage reports argument conflicts
     restriction = None
     d = args.d
     if (args.l is None) != (args.m is None):
@@ -265,13 +221,8 @@ def cmd_heat(args, parser: argparse.ArgumentParser) -> int:
         if any(t < 0 for t in args.t):
             raise ValueError("heat time must be nonnegative")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = supertrace(problem, tuple(args.t))
-    except NumericalBreakdown as exc:
-        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
-        return 5
+        return _fail(exc)
+    report = supertrace(problem, tuple(args.t))
     pairing = report.pairing_defect
     deviation = max(
         (abs(value - report.index_exact) for _, value in report.supertrace_samples),
@@ -318,21 +269,10 @@ def cmd_measure(args) -> int:
             rel_tolerance=args.tol, angular_nodes=args.angular_nodes
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        lam = lambda_m(params, quad)
-        unity = unity_check(params, quad)
-        if args.skip_projector:
-            axioms = None
-        else:
-            axioms = projector_axioms_check(params, quad)
-    except DivergenceDetected as exc:
-        print(f"error: divergent measure: {exc}", file=sys.stderr)
-        return 4
-    except QuadratureError as exc:
-        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
-        return 5
+        return _fail(exc)
+    lam = lambda_m(params, quad)
+    unity = unity_check(params, quad)
+    axioms = None if args.skip_projector else projector_axioms_check(params, quad)
     doc = {
         "lambda_m": lam,
         "unity_defect": abs(unity - 1.0),
@@ -365,21 +305,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check one (l, m) index identity")
+    p_verify.set_defaults(handler=cmd_verify)
     p_verify.add_argument("--l", type=int, required=True)
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument("--json", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="grid of identity checks")
+    p_sweep.set_defaults(handler=cmd_sweep)
     p_sweep.add_argument("--l-max", dest="l_max", type=int, required=True)
     p_sweep.add_argument("--m-max", dest="m_max", type=int, required=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None)
 
     p_kawasaki = sub.add_parser("kawasaki", help="evaluate a serialized spec")
+    p_kawasaki.set_defaults(handler=cmd_kawasaki)
     p_kawasaki.add_argument("--spec", required=True)
     p_kawasaki.add_argument("--json", action="store_true")
 
     p_heat = sub.add_parser("heat", help="dbar complex index and supertrace")
+    p_heat.set_defaults(handler=cmd_heat)
     p_heat.add_argument("--d", type=int, default=None)
     p_heat.add_argument("--K", type=int, required=True)
     p_heat.add_argument("--l", type=int, default=None)
@@ -388,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--json", action="store_true")
 
     p_measure = sub.add_parser("measure", help="fiber measure diagnostics")
+    p_measure.set_defaults(handler=cmd_measure)
     p_measure.add_argument("--a", type=float, required=True)
     p_measure.add_argument("--m", type=int, required=True)
     p_measure.add_argument("--cutoff", choices=("smooth", "hard"), default="smooth")
@@ -398,21 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the typed numerical errors of every subcommand: exit code and message prefix
+_ERROR_EXITS = {
+    DivergenceDetected: (4, "divergent measure"),
+    NumericalBreakdown: (5, "numerical breakdown"),
+    QuadratureError: (5, "numerical breakdown"),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "kawasaki":
-        return cmd_kawasaki(args)
-    if args.command == "heat":
-        return cmd_heat(args, parser)
-    if args.command == "measure":
-        return cmd_measure(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except tuple(_ERROR_EXITS) as exc:
+        code, what = next(v for kind, v in _ERROR_EXITS.items() if isinstance(exc, kind))
+        return _fail(f"{what}: {exc}", code)
 
 
 if __name__ == "__main__":

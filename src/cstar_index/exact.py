@@ -122,7 +122,10 @@ def _reduction_matrix(n: int) -> np.ndarray:
     every entry is an integer.  A point-sum histogram has entries summing to
     (n-1) * n(n+1)/2; the bound check keeps that sum exact in float64 and
     its product with this matrix exact in int64.  The first bound depends on
-    n alone, so it is checked before anything is built.
+    n alone, so it is checked before anything is built; the second is checked
+    on each row before it is stored.  The rows are folded in Python ints and
+    written into the preallocated table one at a time, so building it needs
+    little more memory than the table itself.
     """
     weight = (n - 1) * n * (n + 1) // 2
     if weight >= 2**53:
@@ -130,18 +133,17 @@ def _reduction_matrix(n: int) -> np.ndarray:
     big_phi = cyclotomic_polynomial(n)
     phi = len(big_phi) - 1
     fold = [-c for c in big_phi[:phi]]
-    rows = []
+    table = np.empty((n, phi), dtype=np.int64)
     row = [1] + [0] * (phi - 1)
-    for _ in range(n):
-        rows.append(row)
+    for e in range(n):
+        if max(map(abs, row)) * weight >= 2**63:
+            raise OverflowError(f"order {n} is too large for exact int64 point sums")
+        table[e] = row
         lead = row[-1]
         row = [0] + row[:-1]
         if lead:
             row = [r + lead * f for r, f in zip(row, fold)]
-    top = max(abs(c) for r in rows for c in r)
-    if top * weight >= 2**63:
-        raise OverflowError(f"order {n} is too large for exact int64 point sums")
-    return np.array(rows, dtype=np.int64)
+    return table
 
 
 _HIST_BLOCK = 2**20

@@ -54,11 +54,7 @@ __all__ = [
     "EquivariantRestriction",
     "GalerkinProblem",
     "SpectralReport",
-    "build_dbar_matrix",
-    "gram_matrices",
     "exact_index",
-    "heat_spectra",
-    "laplacian_pairing_defect",
     "supertrace",
     "equivariant_block_index",
 ]

@@ -19,10 +19,12 @@ of the scaling action.  Written in the radius t = s|w| of the orbit point,
 
 its radial weight does not depend on w, so one quadrature rule serves every
 point, and the integral depends on w only through |w|^m and the direction
-w/|w|: points on one ray share one ring evaluation.  Each projector keeps
-the value of every direction it has evaluated, so it evaluates u once per
-distinct direction over its whole life, not once per call; u must
-therefore be a pure function.  Everything a calculus identity promises
+w/|w|.  Each projector keeps the value of every direction it has
+evaluated, keyed on the computed w/|w| bit for bit, so it evaluates u once
+per bitwise-distinct direction over its whole life, not once per call; u
+must therefore be a pure function.  Points on one ray share that value only
+when their w/|w| round to the same bits, which along a ray they often do
+not.  Everything a calculus identity promises
 about the projector (idempotency, equivariance, killing other monomials,
 unit total mass of the pulled-back measure) is rechecked here numerically
 rather than assumed.
@@ -377,14 +379,16 @@ def project_m(
     of u on the ring of radial times angular nodes turned to the direction
     w/|w| (exact on trigonometric polynomials of degree below the node
     count).  The projector keeps that sum for every direction it has seen,
-    keyed on the exact direction, and evaluates u only on directions no
-    earlier call asked for: u runs once per distinct direction over the
-    projector's whole life.  So u must be a pure function, and the memory a
-    projector holds grows with the number of distinct directions queried
-    (two complex numbers each).  Nothing is shared between projectors.  The
-    nested P(P u), whose outer rule feeds the inner projector many radii on
-    the same few hundred directions call after call, evaluates the inner u
-    once per direction, not once per node or per call.  It passes u at most
+    keyed on the computed w/|w| bit for bit, and evaluates u only on
+    directions no earlier call asked for: u runs once per bitwise-distinct
+    direction over the projector's whole life.  So u must be a pure
+    function, and the memory a projector holds grows with the number of
+    distinct directions queried (two complex numbers each).  Nothing is
+    shared between projectors.  The nested P(P u) feeds the inner projector
+    many radii on a few hundred rays call after call; w/|w| rounds
+    differently along a ray, so those rays give some thousands of distinct
+    directions, and the inner u runs once per direction, not once per node
+    or per call.  It passes u at most
     2**17 values per call, so composing the projector with itself never
     holds all its inner values at once.
     """
@@ -486,21 +490,21 @@ def projector_axioms_check(
     near m and fixes w^m (monomial_defect); P_m(P_m u) = P_m u for generic
     test functions (idempotency_defect); P_m u transforms with the m-th
     character under scaling of the argument (equivariance_defect); and the
-    pulled-back fiber measure has unit mass (measure_total_defect).  A
-    monomial whose projection diverges raises DivergenceDetected naming its
-    exponent k.
+    pulled-back fiber measure has unit mass (measure_total_defect).  The
+    monomials probed are the w^k with m-3 <= k <= m+3 that P_m can
+    integrate: the radial integrand of w^k decays like t^(k+m-4a-1), so only
+    k < 4a - m are kept.  For the others the character sum cancels a
+    non-integrable tail, and any verdict on them would be rounding noise.
     """
     if test_functions is None:
         test_functions = (_default_bump,)
     m = params.m
-    lambda_m(params, quad)  # a divergent normalization raises as itself, not as a monomial's
 
     monomial = 0.0
     for k in range(m - 3, m + 4):
-        try:
-            proj = project_m(lambda w, k=k: w**k, params, quad)
-        except DivergenceDetected as exc:
-            raise DivergenceDetected(f"projecting the monomial w^{k}: {exc}") from exc
+        if k >= 4 * params.a - m:
+            break  # neither w^k nor any higher probe is integrable
+        proj = project_m(lambda w, k=k: w**k, params, quad)
         for p in _PROBE_POINTS:
             got = proj(complex(p))
             want = complex(p) ** m if k == m else 0.0

@@ -10,6 +10,7 @@ contributions, and closed forms for the reciprocal sums.
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -293,3 +294,17 @@ def test_point_sums_across_histogram_blocks(n):
     approx = _lefschetz_float(n, 7, 13)
     assert abs(approx.imag) < 1e-9
     assert abs(approx.real - float(value)) < 1e-9
+
+
+def test_reduction_table_is_built_in_place():
+    # the table is filled row by row, not copied from a list of rows, so
+    # building it costs little more memory than the table itself
+    exact.cyclotomic_polynomial(1000)  # cached, and not part of the table's cost
+    tracemalloc.start()
+    try:
+        table = exact._reduction_matrix.__wrapped__(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1000, 400)
+    assert peak <= 1.25 * table.nbytes
