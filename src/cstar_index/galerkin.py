@@ -27,10 +27,11 @@ preserves the weight, and restricting to a residue class of weights modulo
 l computes the fixed-point index of the quotient family.
 
 D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
-alone finds the blocks.  The exact rank sums block ranks over Q; the float
-spectra come from one walk that factors, orthonormalizes and diagonalizes
-block by block.  `build_dbar_matrix` and `gram_matrices` only scatter the
-blocks into full matrices.
+alone finds the blocks.  The exact rank sums block ranks over Q, each found
+by fraction-free elimination on Python ints; the float spectra come from
+one walk that factors, orthonormalizes and diagonalizes block by block.
+`build_dbar_matrix` and `gram_matrices` only scatter the blocks into full
+matrices.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -277,25 +278,29 @@ def gram_matrices(problem: GalerkinProblem):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a small matrix by fraction-exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank over Q of a small integer matrix by fraction-free elimination.
+
+    Clearing a pivot column replaces each row below by pivot * row - entry
+    * pivot row, which stays in the integers; dividing the new row by the
+    gcd of its entries keeps them from growing.
+    """
+    mat = [list(row) for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
+        top = mat[rank]
+        pv = top[col]
         for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+            c = mat[r][col]
+            if c:
+                row = [pv * x - c * y for x, y in zip(mat[r], top)]
+                g = gcd(*row)
+                mat[r] = [x // g for x in row] if g > 1 else row
         rank += 1
     return rank
 
@@ -319,7 +324,7 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
     for _, bv, bw, d_block, _, _ in _weight_blocks(problem):
         dim_v += len(bv)
         dim_w += len(bw)
-        rank += _fraction_rank(d_block)
+        rank += _integer_rank(d_block)
     return _report(problem, dim_v, dim_w, rank)
 
 
@@ -348,7 +353,7 @@ def _block_spectra(problem: GalerkinProblem):
     rank = 0
     parts_v, parts_w, parts_sigma = [], [], []
     for weight, bv, bw, d_block, g_v, g_w in _weight_blocks(problem):
-        rank += _fraction_rank(d_block)
+        rank += _integer_rank(d_block)
         l_v = _gram_cholesky(g_v, problem, "section", weight)
         l_w = _gram_cholesky(g_w, problem, "form", weight)
         d_mat = np.array(d_block, dtype=float)

@@ -9,6 +9,11 @@ with m < 2a integrable:
 where phi1 is 1 on [0, 1] and 0 from 2 on (a hard step switches at 1
 instead), and phi2 = 1 - phi1.  lambda_m is the total mass of r^(2m) against
 2 pi rho, and dv_m = (2 pi / lambda_m) rho normalizes that moment to one.
+A single radius, as scipy's quad asks for one at a time, is evaluated in
+Python floats with the same IEEE operations as an array of radii, so both
+give the same bits; only the tail power stays a numpy ufunc, because
+numpy's float64 power and libm's pow, which Python's ** calls, can differ
+in the last bit.
 
 The projector onto fiberwise weight m averages a function over the orbit
 s e^(i g) w of a point w of the punctured plane against the m-th character
@@ -67,6 +72,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _MIN_REL_TOLERANCE = 1000 * np.finfo(float).eps
+_BAD_RADIUS = "radius must be finite and nonnegative"
 
 
 class DivergenceDetected(ArithmeticError):
@@ -151,13 +157,49 @@ def _phi1(x: np.ndarray, cutoff: Cutoff) -> np.ndarray:
     return out
 
 
+def _density_at(r: float, params: FiberMeasureParams) -> float:
+    """radial_density at one radius, in Python floats.
+
+    Each step is the IEEE operation the array path performs on that entry,
+    so the two paths agree bit for bit.
+    """
+    if not 0.0 <= r < math.inf:
+        raise ValueError(_BAD_RADIUS)
+    x = r * r
+    if x <= 1.0:
+        return r
+    p1 = 0.0
+    if params.cutoff is Cutoff.SMOOTH_BUMP and x < 2.0:
+        t = x - 1.0
+        try:
+            # expit's own formula; where exp overflows, expit returns 0
+            p1 = 1.0 / (1.0 + math.exp(-(1.0 / t - 1.0 / (1.0 - t))))
+        except OverflowError:
+            pass
+    p2 = 1.0 - p1
+    tail = 0.0
+    if p2 > 0.0:
+        a = params.a
+        # not Python's **: it calls libm pow, which differs in the last bit
+        # from numpy's float64 power (SIMD where the CPU has it) for some r
+        tail = 4.0 * a * a * float((np.array([r]) ** (-4.0 * a - 2.0))[0])
+    return (p1 + p2 * tail) * r
+
+
 def radial_density(r, params: FiberMeasureParams):
-    """Density rho(r) of the fiber measure against dr, vectorized in r."""
+    """Density rho(r) of the fiber measure against dr, vectorized in r.
+
+    A 0-d radius (a Python or numpy scalar, or a 0-d array) is evaluated in
+    Python floats, without numpy's per-call overhead, and returned as a
+    float equal bit for bit to the array path's entry; the tail power stays
+    numpy's, since libm's pow can differ from it in the last bit.  An array
+    returns an array.  Radii must be finite and nonnegative.
+    """
     arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
-        raise ValueError("radius must be nonnegative")
+    if arr.ndim == 0:
+        return _density_at(float(arr), params)
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError(_BAD_RADIUS)
     x = arr * arr
     p1 = _phi1(x, params.cutoff)
     p2 = 1.0 - p1
@@ -166,8 +208,7 @@ def radial_density(r, params: FiberMeasureParams):
     mask = p2 > 0.0  # implies r > 1, so the negative power is safe
     if np.any(mask):
         tail[mask] = 4.0 * a * a * arr[mask] ** (-4.0 * a - 2.0)
-    out = (p1 + p2 * tail) * arr
-    return float(out[0]) if scalar else out
+    return (p1 + p2 * tail) * arr
 
 
 # ---------------------------------------------------------------------------

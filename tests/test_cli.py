@@ -5,11 +5,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cstar_index
 from cstar_index import galerkin
 from cstar_index.cli import build_parser, main
 from cstar_index.model import ExampleFamilySpec, example_to_kawasaki, kawasaki_to_json_dict
@@ -19,6 +22,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child_env():
+    # a child interpreter imports cstar_index from the src directory these
+    # tests import it from, whether or not the package is installed
+    src = str(Path(cstar_index.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_verify_human(capsys):
@@ -214,7 +226,9 @@ def test_program_fault_is_not_a_bad_argument(argv, module, name):
         "from cstar_index.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" in proc.stderr
@@ -338,6 +352,7 @@ def test_console_script_entry_point():
         [sys.executable, "-m", "cstar_index.cli", "verify", "--l", "5", "--m", "7"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "agree              yes" in proc.stdout

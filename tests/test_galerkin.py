@@ -154,6 +154,64 @@ def test_exact_index_reproduces_degree_count():
             assert r.coker_dim == max(-d - 1, 0), (d, K)
 
 
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination in Fraction arithmetic (the oracle)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / pv
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_integer_rank_matches_fraction_oracle_on_d_blocks():
+    # the problems the heat-ladder benchmark solves, the failing one included
+    problems = [GalerkinProblem(d=d, K=d) for d in (4, 8, 12, 16, 20)]
+    problems += [
+        GalerkinProblem(d=16, K=8, equivariance=EquivariantRestriction(l=3, label=8)),
+        GalerkinProblem(d=20, K=26),
+    ]
+    blocks = [blk[3] for p in problems for blk in galerkin._weight_blocks(p)]
+    assert len(blocks) == 269
+    for block in blocks:
+        before = [row[:] for row in block]
+        assert galerkin._integer_rank(block) == _fraction_rank(block)
+        assert block == before  # the spectra read the same block afterwards
+
+
+def test_integer_rank_of_known_rank_matrices():
+    rng = np.random.default_rng(11)
+    cases = [([], 0), ([[], []], 0), ([[0, 0, 0], [0, 0, 0]], 0)]
+    for _ in range(300):
+        n, m = (int(x) for x in rng.integers(1, 8, size=2))
+        k = int(rng.integers(0, min(n, m) + 1))
+        # [I; A] [I | B] has rank exactly k; permuting rows and columns,
+        # scaling rows and adding zero rows and columns keeps it
+        left = np.vstack([np.eye(k, dtype=np.int64), rng.integers(-9, 10, (n - k, k))])
+        right = np.hstack([np.eye(k, dtype=np.int64), rng.integers(-9, 10, (k, m - k))])
+        mat = (left @ right)[rng.permutation(n)][:, rng.permutation(m)]
+        mat *= rng.choice([-30, -7, -1, 1, 2, 12, 97], size=(n, 1))
+        mat = np.insert(mat, int(rng.integers(0, n + 1)), 0, axis=0)
+        mat = np.insert(mat, int(rng.integers(0, m + 1)), 0, axis=1)
+        cases.append((mat.tolist(), k))
+    for rows, k in cases:
+        assert _fraction_rank(rows) == k
+        assert galerkin._integer_rank(rows) == k
+
+
 def test_supertrace_constant_in_t():
     for d, K in [(0, 1), (4, 3), (-3, 5), (2, 6)]:
         rep = supertrace(GalerkinProblem(d=d, K=K), t_values=(0.05, 0.5, 5.0, 50.0))

@@ -60,8 +60,56 @@ def test_radial_density_vectorized_and_validated():
     vals = radial_density(r, p)
     assert vals.shape == r.shape
     assert np.all(vals >= 0)
-    with pytest.raises(ValueError):
-        radial_density(-0.1, p)
+    for bad in (-0.1, math.nan, math.inf):
+        for r in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad, 2.0])):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                radial_density(r, p)
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_scalar_radius_matches_array_path(cutoff):
+    # a 0-d radius takes a float path; it must give the array path's entry
+    # bit for bit, including -4a-2 integer (a = 0.25, 0.5, 1, 2)
+    rng = np.random.default_rng(7)
+    s2 = math.sqrt(2.0)
+    radii = np.concatenate([
+        [0.0, 1.0, s2, np.nextafter(1.0, 2.0), np.nextafter(s2, 0.0), np.nextafter(s2, 2.0)],
+        rng.uniform(0.0, 1.0, 50),
+        rng.uniform(1.0, s2, 400),  # the transition band
+        1.0 + np.logspace(-16, -2, 60),
+        # below sqrt(2) by less than about 5e-4 the logistic's exp overflows
+        s2 - np.logspace(-16, -2, 60),
+        rng.uniform(s2, 12.0, 400),  # the tail
+    ])
+    for a in (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 2.37, 4.1):
+        p = FiberMeasureParams(a=a, m=0, cutoff=cutoff)
+        expected = radial_density(radii, p)
+        for r, want in zip(radii.tolist(), expected.tolist()):
+            got = radial_density(r, p)
+            assert type(got) is float
+            assert got == want, (a, r)
+            assert radial_density(np.float64(r), p) == want
+            assert radial_density(np.array(r), p) == want
+
+
+@pytest.mark.parametrize(
+    "a, m, cutoff, tol",
+    [
+        (1.0, 0, Cutoff.SMOOTH_BUMP, 1e-6),
+        (1.5, 2, Cutoff.SMOOTH_BUMP, 1e-6),
+        # on these two a libm tail power (Python's **) moves the result
+        (0.9, 0, Cutoff.HARD_STEP, 1e-6),
+        (2.3, 2, Cutoff.HARD_STEP, 1e-9),
+    ],
+)
+def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol):
+    params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
+    quad = QuadratureConfig(rel_tolerance=tol)
+    fast = unity_check(params, quad)
+    monkeypatch.setattr(
+        measure, "_density_at", lambda r, p: float(radial_density(np.array([r]), p)[0])
+    )
+    assert unity_check(params, quad) == fast
 
 
 def test_cutoffs_agree_outside_transition_band():
