@@ -10,12 +10,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
 validation errors, 3 unwritable output path, 4 divergent measure parameters,
-5 numerical breakdown (the float Gram factorization in heat failed, or a
-measure quadrature did not converge within its budget).  Each subcommand
-returns 0 to 3 itself; codes 4 and 5 come from one table, `_ERROR_EXITS`,
-through which `main` reports the typed numerical errors of every
-subcommand.  Any other error is a fault of the program and ends in a
-traceback with Python's exit status 1.
+5 numerical breakdown (the float Gram factorization in heat failed, a
+measure quadrature did not converge within its budget, or an isotropy order
+is too large for exact point sums).  Each subcommand returns 0 to 3
+itself; codes 4 and 5 come from one table, `_ERROR_EXITS`, through which
+`main` reports the typed numerical errors of every subcommand.  Any other
+error, a plain OverflowError included, is a fault of the program and ends in
+a traceback with Python's exit status 1.
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -33,7 +34,7 @@ import sys
 from functools import lru_cache
 
 from .analytic import _check_family_args, kappa
-from .exact import format_rational, lefschetz_point_sum
+from .exact import OrderTooLargeError, format_rational, lefschetz_point_sum
 from .galerkin import (
     EquivariantRestriction,
     GalerkinProblem,
@@ -348,6 +349,7 @@ _ERROR_EXITS = {
     DivergenceDetected: (4, "divergent measure"),
     NumericalBreakdown: (5, "numerical breakdown"),
     QuadratureError: (5, "numerical breakdown"),
+    OrderTooLargeError: (5, "numerical breakdown"),
 }
 
 

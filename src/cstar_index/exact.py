@@ -8,9 +8,12 @@ imaginary part to be small.
 A sum is evaluated in the integer group ring Z[x]/(x^N - 1): for x^N = 1,
 x != 1 the identity 1/(1 - x) = -(1/N) sum_{i<N} (i+1) x^i turns every term
 into integer-weighted powers of zeta, which accumulate into one exponent
-histogram.  That histogram is reduced once modulo the monic N-th cyclotomic
-polynomial Phi_N, in integer arithmetic, to its coefficients in the power
-basis 1, zeta, ..., zeta^(phi(N)-1).  Phi_N is irreducible over Q, so that
+histogram.  That histogram is reduced modulo the monic N-th cyclotomic
+polynomial Phi_N to its coefficients in the power basis 1, zeta, ...,
+zeta^(phi(N)-1): first folded modulo a multiple of Phi_N in one int64
+subtraction, then divided by Phi_N with the same integer long division that
+builds Phi_N.  Memory is O(N) beyond one histogram block, and no table is
+kept per order besides Phi_N itself.  Phi_N is irreducible over Q, so that
 basis is linearly independent over Q: the sum is rational exactly when every
 integer coefficient beyond the constant term vanishes, and the constant term
 then gives its value.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -34,6 +37,7 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "NotRationalError",
+    "OrderTooLargeError",
     "parse_rational",
     "format_rational",
     "cyclotomic_polynomial",
@@ -44,6 +48,10 @@ __all__ = [
 
 class NotRationalError(ValueError):
     """Raised when a fixed-point sum expected to be rational is not."""
+
+
+class OrderTooLargeError(OverflowError):
+    """Raised when an isotropy order is too large for exact point sums."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,27 +79,28 @@ def format_rational(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _poly_trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _poly_divmod(
+    num: tuple[int, ...], den: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of integer polynomials by a monic divisor.
 
-
-def _poly_divide_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Divide integer polynomials known to divide exactly (monic divisor)."""
+    The remainder has exactly deg(den) coefficients.  The work is done in
+    Python ints, so no step can overflow, and each step visits only the
+    divisor's nonzero coefficients below its leading one.
+    """
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
-    rem = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = rem[shift + len(den) - 1]
-        quot[shift] = c
+    deg = len(den) - 1
+    terms = [(i, d) for i, d in enumerate(den[:deg]) if d]
+    rem = list(num) + [0] * (deg - len(num))
+    quot = [0] * (len(num) - deg)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem[shift + deg]
         if c:
-            for i, d in enumerate(den):
+            quot[shift] = c
+            for i, d in terms:
                 rem[shift + i] -= c * d
-    if any(rem):
-        raise ValueError("polynomial division left a remainder")
-    return _poly_trim(quot)
+    return tuple(quot), tuple(rem[:deg])
 
 
 @lru_cache(maxsize=None)
@@ -109,41 +118,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divide_exact(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ValueError("polynomial division left a remainder")
     return poly
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(n: int) -> np.ndarray:
-    """The (n, phi) int64 matrix whose row e is x^e mod Phi_n, e < n.
-
-    Each row is the previous one times x, with x^phi folded back through
-    x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}); Phi_n is monic, so
-    every entry is an integer.  A point-sum histogram has entries summing to
-    (n-1) * n(n+1)/2; the bound check keeps that sum exact in float64 and
-    its product with this matrix exact in int64.  The first bound depends on
-    n alone, so it is checked before anything is built; the second is checked
-    on each row before it is stored.  The rows are folded in Python ints and
-    written into the preallocated table one at a time, so building it needs
-    little more memory than the table itself.
-    """
-    weight = (n - 1) * n * (n + 1) // 2
-    if weight >= 2**53:
-        raise OverflowError(f"order {n} is too large for exact int64 point sums")
-    big_phi = cyclotomic_polynomial(n)
-    phi = len(big_phi) - 1
-    fold = [-c for c in big_phi[:phi]]
-    table = np.empty((n, phi), dtype=np.int64)
-    row = [1] + [0] * (phi - 1)
-    for e in range(n):
-        if max(map(abs, row)) * weight >= 2**63:
-            raise OverflowError(f"order {n} is too large for exact int64 point sums")
-        table[e] = row
-        lead = row[-1]
-        row = [0] + row[:-1]
-        if lead:
-            row = [r + lead * f for r, f in zip(row, fold)]
-    return table
 
 
 _HIST_BLOCK = 2**20
@@ -156,19 +134,25 @@ def _point_sum(n: int, a: int, b: int) -> Fraction:
     For x^n = 1, x != 1 the inverse is 1/(1 - x) = -(1/n) sum_{i<n} (i+1) x^i,
     so the value is -1/n^2 times the group-ring element whose coefficient at
     e is the total weight i+1 of the pairs (k, i) with k(b - a i) = e mod n.
-    That histogram is reduced once modulo Phi_n; the reduced integer vector
-    is rational exactly when its coefficients beyond the constant term vanish.
+    That histogram is reduced modulo Phi_n; the reduced integer vector is
+    rational exactly when its coefficients beyond the constant term vanish.
 
+    The histogram's entries sum to (n-1) n(n+1)/2, which the order guard
+    keeps below 2**53, so every float64 partial sum is an exact integer.
     The (k, i) exponent table is built in row blocks of at most _HIST_BLOCK
-    entries (one block up to n = 1024), so the histogram needs O(n) memory
-    beyond one block; the partial sums are integers below the 2**53 guard of
-    _reduction_matrix, so they stay exact.  The reduction matrix itself stays
-    O(n * phi(n)).
+    entries (one block up to n = 1024).  The reduction first folds the
+    histogram modulo F = (x^n - 1)/(x^(n/q) - 1) = sum_{j<q} x^(j n/q), q the
+    least prime factor of n: Phi_n divides F, since it shares no root with
+    x^(n/q) - 1, so the fold keeps the class modulo Phi_n.  It is one int64
+    subtraction of the top block of n/q coefficients from the others.  Long
+    division by Phi_n finishes it, with no step for a prime or prime-power n.
+    Memory is O(n) beyond one histogram block.
     """
-    matrix = _reduction_matrix(n)
+    if (n - 1) * n * (n + 1) // 2 >= 2**53:
+        raise OrderTooLargeError(f"order {n} is too large for exact point sums")
     i = np.arange(n)
     shifts = b - a * i
-    rows = _HIST_BLOCK // n  # n is at most 2**18 once the matrix guard passes
+    rows = _HIST_BLOCK // n  # n is at most 2**18 once the order guard passes
     hist = np.zeros(n)
     for k0 in range(1, n, rows):
         exponents = np.outer(np.arange(k0, min(k0 + rows, n)), shifts)
@@ -176,12 +160,15 @@ def _point_sum(n: int, a: int, b: int) -> Fraction:
         weights = np.empty(exponents.shape)
         weights[:] = i + 1  # faster than raveling np.broadcast_to for small n
         hist += np.bincount(exponents.ravel(), weights.ravel(), minlength=n)
-    coeffs = hist.astype(np.int64) @ matrix
-    if coeffs[1:].any():
+    q = next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
+    blocks = hist.astype(np.int64).reshape(q, n // q)
+    folded = blocks[:-1] - blocks[-1]
+    _, coeffs = _poly_divmod(folded.ravel().tolist(), cyclotomic_polynomial(n))
+    if any(coeffs[1:]):
         raise NotRationalError(
-            f"point sum ({n}, {a}, {b}) has nonzero higher coefficients: {coeffs.tolist()}"
+            f"point sum ({n}, {a}, {b}) has nonzero higher coefficients: {list(coeffs)}"
         )
-    return Fraction(-int(coeffs[0]), n * n)
+    return Fraction(-coeffs[0], n * n)
 
 
 def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:

@@ -5,8 +5,8 @@ rational coefficients, reduced modulo the N-th cyclotomic polynomial.  Since
 Phi_N is irreducible over Q this representation is canonical: an element is
 rational exactly when every coefficient beyond the constant term vanishes.
 
-The package computes its point sums as integer vectors through a cached
-reduction table.  This module shares none of that: it reduces by long
+The package computes its point sums as integer histograms, folded and then
+divided by Phi_N.  This module shares none of that: it reduces by long
 division by Phi_N in Q[x] and inverts by extended Euclid, so the only
 program code it relies on is cyclotomic_polynomial itself, which the tests
 check against sympy.

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cstar_index
-from cstar_index import galerkin
+from cstar_index import exact, galerkin
 from cstar_index.cli import build_parser, main
 from cstar_index.model import ExampleFamilySpec, example_to_kawasaki, kawasaki_to_json_dict
 
@@ -179,6 +179,21 @@ def test_heat_numerical_breakdown_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: numerical breakdown: ")
     assert "d=2, K=1" in err
+
+
+def test_verify_order_past_the_guard_exit_code(capsys, monkeypatch):
+    # an order whose point sums cannot be exact is refused with exit 5,
+    # before Phi_N is built, not ended in an OverflowError traceback
+    def no_build(order):
+        raise AssertionError(f"Phi_{order} was built past the order guard")
+
+    monkeypatch.setattr(exact, "cyclotomic_polynomial", no_build)
+    code, out, err = run_cli(capsys, ["verify", "--l", "262145", "--m", "0"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: numerical breakdown: ")
+    assert "order 262145 is too large" in err
+    assert err.count("\n") == 1
 
 
 def test_heat_walks_the_blocks_once(capsys, monkeypatch):

@@ -71,7 +71,8 @@ def test_cyclotomic_polynomial_small_cases():
 
 def test_cyclotomic_polynomial_matches_sympy():
     x = sympy.symbols("x")
-    for n in range(1, 41):
+    # 105, 165, 195 and 210 take many long-division steps with sparse divisors
+    for n in [*range(1, 41), 105, 165, 195, 210]:
         ours = cyclotomic_polynomial(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         assert list(ours) == [int(c) for c in reversed(theirs)]
@@ -87,6 +88,30 @@ def test_cyclotomic_polynomials_multiply_back():
                 cs = cyclotomic_polynomial(d)
                 prod *= sum(int(c) * x**i for i, c in enumerate(cs))
         assert sympy.expand(prod - (x**n - 1)) == 0
+
+
+def test_poly_divmod_multiplies_back():
+    # monic divisors with interior zero coefficients, seeded random dividends
+    rng = random.Random(7)
+    for _ in range(60):
+        deg = rng.randrange(1, 9)
+        den = tuple(rng.choice((0, 0, 1, -1, 3)) for _ in range(deg)) + (1,)
+        num = tuple(rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(deg, 30)))
+        quot, rem = exact._poly_divmod(num, den)
+        assert len(rem) == deg
+        back = [0] * max(len(num), len(quot) + deg)
+        for i, q in enumerate(quot):
+            for j, d in enumerate(den):
+                back[i + j] += q * d
+        for i, r in enumerate(rem):
+            back[i] += r
+        assert back == list(num) + [0] * (len(back) - len(num))
+
+
+def test_poly_divmod_short_dividend_and_non_monic_divisor():
+    assert exact._poly_divmod((4, -2), (1, 0, 0, 1)) == ((), (4, -2, 0))
+    with pytest.raises(ValueError, match="monic"):
+        exact._poly_divmod((1, 2, 3), (1, 2))
 
 
 def test_basic_root_identities():
@@ -190,6 +215,12 @@ def test_lefschetz_point_sum_matches_float_oracle():
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
         for _ in range(4):
             cases.append((n, rng.choice(units), rng.randrange(n)))
+    # the fold by least prime 2, 3 or 5 with several odd factors, prime
+    # powers (no division step), and a large squarefree order
+    for n in (105, 165, 195, 210, 243, 256, 1155):
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        for _ in range(2):
+            cases.append((n, rng.choice(units), rng.randrange(n)))
     for n, a, b in cases:
         exact = lefschetz_point_sum(n, a, b)
         approx = _lefschetz_float(n, a, b)
@@ -207,12 +238,12 @@ def test_lefschetz_point_sum_matches_field_oracle():
 
 
 def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch):
-    # x^0 forged to read 1 + x: the exponent-0 histogram weight then lands
-    # on the zeta coefficient, which the integer certificate must reject
-    n = 7
-    forged = exact._reduction_matrix(n).copy()
-    forged[0, 1] += 1
-    monkeypatch.setattr(exact, "_reduction_matrix", lambda order: forged)
+    # Phi_12 forged to read 1 + x - x^2 + x^4: the remainder modulo it keeps
+    # nonzero higher coefficients, which the integer certificate must reject.
+    # The order is composite because a prime order's fold needs no division,
+    # so a forged Phi_7 would never be consulted
+    n = 12
+    monkeypatch.setattr(exact, "cyclotomic_polynomial", lambda order: (1, 1, -1, 0, 1))
     exact._point_sum.cache_clear()
     try:
         with pytest.raises(NotRationalError):
@@ -224,7 +255,7 @@ def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch):
 def test_order_past_the_guard_raises_before_building(monkeypatch):
     # 2**18 + 1 is the least order whose histogram weight (n-1)n(n+1)/2
     # reaches 2**53, so its point sums cannot be exact; that must be known
-    # before Phi_n or the n x phi(n) reduction table is built
+    # before Phi_n or the histogram is built
     n = 2**18 + 1
     assert (n - 2) * (n - 1) * n // 2 < 2**53 <= (n - 1) * n * (n + 1) // 2
 
@@ -232,8 +263,9 @@ def test_order_past_the_guard_raises_before_building(monkeypatch):
         raise AssertionError(f"Phi_{order} was built past the order guard")
 
     monkeypatch.setattr(exact, "cyclotomic_polynomial", no_build)
-    with pytest.raises(OverflowError, match="too large"):
+    with pytest.raises(OverflowError, match="too large") as exc:
         lefschetz_point_sum(n, 1, 0)
+    assert isinstance(exc.value, exact.OrderTooLargeError)
 
 
 def test_group_ring_inverse_identity():
@@ -296,15 +328,16 @@ def test_point_sums_across_histogram_blocks(n):
     assert abs(approx.real - float(value)) < 1e-9
 
 
-def test_reduction_table_is_built_in_place():
-    # the table is filled row by row, not copied from a list of rows, so
-    # building it costs little more memory than the table itself
-    exact.cyclotomic_polynomial(1000)  # cached, and not part of the table's cost
+def test_cold_point_sum_memory_is_bounded_by_histogram_blocks():
+    # no per-order table: a cold sum needs a few block-sized arrays for the
+    # histogram and O(n) for the reduction, not n * phi(n) entries
+    n = 4006
+    exact.cyclotomic_polynomial(n)  # cached, and not part of the sum's cost
     tracemalloc.start()
     try:
-        table = exact._reduction_matrix.__wrapped__(1000)
+        value = exact._point_sum.__wrapped__(n, 1, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.shape == (1000, 400)
-    assert peak <= 1.25 * table.nbytes
+    assert value == Fraction(n - 1, 2 * n)
+    assert peak <= 4 * 8 * exact._HIST_BLOCK
