@@ -12,11 +12,12 @@ histogram.  That histogram is reduced modulo the monic N-th cyclotomic
 polynomial Phi_N to its coefficients in the power basis 1, zeta, ...,
 zeta^(phi(N)-1): first folded modulo a multiple of Phi_N in one int64
 subtraction, then divided by Phi_N with the same integer long division that
-builds Phi_N.  Memory is O(N) beyond one histogram block, and no table is
-kept per order besides Phi_N itself.  Phi_N is irreducible over Q, so that
-basis is linearly independent over Q: the sum is rational exactly when every
-integer coefficient beyond the constant term vanishes, and the constant term
-then gives its value.
+builds Phi_N as Phi_M(x^p) / Phi_M(x), p the largest prime factor of N and
+M = N/p (no division when p divides M).  Memory is O(N) beyond one
+histogram block, and no table is kept per order besides Phi_N itself.
+Phi_N is irreducible over Q, so that basis is linearly independent over Q:
+the sum is rational exactly when every integer coefficient beyond the
+constant term vanishes, and the constant term then gives its value.
 
 General field arithmetic in Q(zeta_N), with an extended-Euclid inverse, is
 kept outside the package as the test suite's oracle
@@ -107,21 +108,27 @@ def _poly_divmod(
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """N-th cyclotomic polynomial as ascending integer coefficients.
 
-    Computed by exact recursive division of x^n - 1 by the cyclotomic
-    polynomials of the proper divisors of n.  No floating point and no
-    Moebius shortcuts; the recursion depth is the divisor lattice height.
+    With p the largest prime factor of n and m = n/p, Phi_n(x) is Phi_m(x^p)
+    when p divides m and Phi_m(x^p) / Phi_m(x), by exact integer long
+    division, otherwise.  No floating point; the recursion depth is the
+    number of prime factors of n, counted with multiplicity.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n == 1:
         return (-1, 1)
-    poly = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise ValueError("polynomial division left a remainder")
-    return poly
+    p = n  # divide out least prime factors until the largest prime is left
+    while (q := next((r for r in range(2, isqrt(p) + 1) if p % r == 0), p)) < p:
+        p //= q
+    m = n // p
+    inner = cyclotomic_polynomial(m)
+    poly = [0] * ((len(inner) - 1) * p + 1)
+    poly[::p] = inner  # Phi_m(x^p)
+    if m % p:
+        poly, rem = _poly_divmod(poly, inner)
+        if any(rem):
+            raise ValueError("polynomial division left a remainder")
+    return tuple(poly)
 
 
 _HIST_BLOCK = 2**20

@@ -27,11 +27,13 @@ preserves the weight, and restricting to a residue class of weights modulo
 l computes the fixed-point index of the quotient family.
 
 D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
-alone finds the blocks.  The exact rank sums block ranks over Q, each found
-by fraction-free elimination on Python ints; the float spectra come from
-one walk that factors, orthonormalizes and diagonalizes block by block.
-`build_dbar_matrix` and `gram_matrices` only scatter the blocks into full
-matrices.
+alone builds the blocks, each from its weight: the index ranges of its
+sections and forms, the D-block from the formula above, and each Gram block
+as the vector of Beta moments of which it is the Hankel matrix.  The exact
+rank sums block ranks over Q, each found by fraction-free elimination on
+Python ints; the float spectra come from one walk that factors,
+orthonormalizes and diagonalizes block by block.  `build_dbar_matrix` and
+`gram_matrices` only scatter the blocks into full matrices.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from scipy.linalg.lapack import dpotrf
 from .analytic import _check_family_args
 
 __all__ = [
-    "BlockLeakError",
     "NumericalBreakdown",
     "BasisElementV",
     "BasisElementW",
@@ -59,10 +60,6 @@ __all__ = [
     "supertrace",
     "equivariant_block_index",
 ]
-
-
-class BlockLeakError(ArithmeticError):
-    """The operator produced a target outside the selected weight block."""
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -188,16 +185,6 @@ class SpectralReport:
     pairing_defect: float | None = None
 
 
-def _dbar_images(elem: BasisElementV, K: int):
-    """Targets of D on one basis section, as (coefficient, BasisElementW)."""
-    out = []
-    if elem.b > 0:
-        out.append((elem.b, BasisElementW(elem.a, elem.b - 1)))
-    if elem.b < K:
-        out.append((elem.b - K, BasisElementW(elem.a + 1, elem.b)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _beta_moment(p: int, s: int) -> Fraction:
     """Exact value of the chart integral of t^p (1 + t)^(-s) over [0, inf)."""
@@ -207,38 +194,36 @@ def _beta_moment(p: int, s: int) -> Fraction:
 
 
 def _weight_blocks(problem: GalerkinProblem):
-    """Yield (weight, V-block, W-block, D-block, G_V-block, G_W-block).
+    """Yield (weight, b-range, beta-range, D-block, G_V moments, G_W moments).
 
-    Weights ascend; each basis block keeps the order of the full basis.  The
-    D-block holds ints, rows indexed by the W-block and columns by the
-    V-block; a target of D outside the W-block of its source's weight raises
-    BlockLeakError, since D must preserve the weight decomposition.  Monomials
-    of different weight are orthogonal (the angular integral vanishes), and
-    equal-weight pairs reduce to the Beta moment with the common exponent
-    s = 2K + d + 2.  The same s serves both spaces because the form pairing
-    trades two powers of the conformal factor for the inverse metric on dzbar.
+    Weights ascend from -K to d + K.  Block w holds the sections v_{b+w,b}
+    and forms w_{beta+w+1,beta} for b and beta in the two ranges, in the
+    order of the full bases.  The int D-block (rows forms, columns sections)
+    follows the formula for D v_{a,b}, whose targets keep the weight and lie
+    in the form range.  Monomials of different weight are orthogonal (the
+    angular integral vanishes), and an equal-weight pair gives the Beta
+    moment of its exponent sum, so a Gram block of order n is the Hankel
+    matrix of the 2n - 1 moments yielded: entry (i, j) is moments[i + j].
+    Both spaces share s = 2K + d + 2 because the form pairing trades two
+    powers of the conformal factor for the inverse metric on dzbar.
     """
-    s = 2 * problem.K + problem.d + 2
-    groups: dict[int, tuple[list, list]] = {}
-    for e in problem.basis_v():
-        groups.setdefault(e.weight, ([], []))[0].append(e)
-    for f in problem.basis_w():
-        groups.setdefault(f.weight, ([], []))[1].append(f)
-    for weight in sorted(groups):
-        bv, bw = groups[weight]
-        row_of = {f: i for i, f in enumerate(bw)}
-        d_block = [[0] * len(bv) for _ in bw]
-        for col, elem in enumerate(bv):
-            for coeff, target in _dbar_images(elem, problem.K):
-                row = row_of.get(target)
-                if row is None:
-                    raise BlockLeakError(
-                        f"D maps {elem} outside its weight block (target {target})"
-                    )
-                d_block[row][col] = coeff
-        g_v = [[_beta_moment(e.a + f.b, s) for f in bv] for e in bv]
-        g_w = [[_beta_moment(e.alpha + f.beta, s) for f in bw] for e in bw]
-        yield weight, bv, bw, d_block, g_v, g_w
+    d, K = problem.d, problem.K
+    s = 2 * K + d + 2
+    for w in range(-K, d + K + 1):
+        if problem.equivariance is not None and not problem.equivariance.keeps(w):
+            continue
+        bs = range(max(0, -w), min(K, d + K - w) + 1)
+        betas = range(max(0, -w - 1), min(K - 1, d + K - w) + 1)
+        d_block = [[0] * len(bs) for _ in betas]
+        for col, b in enumerate(bs):
+            if b > 0:
+                d_block[b - 1 - betas.start][col] = b
+            if b < K:
+                d_block[b - betas.start][col] = b - K
+        # the exponent sums of the two Gram blocks, from corner to corner
+        g_v = tuple(_beta_moment(c, s) for c in range(2 * bs.start + w, 2 * bs.stop + w - 1))
+        g_w = tuple(_beta_moment(c, s) for c in range(2 * betas.start + w + 1, 2 * betas.stop + w))
+        yield w, bs, betas, d_block, g_v, g_w
 
 
 def _assemble(row_basis, col_basis, blocks, zero) -> list[list]:
@@ -253,23 +238,28 @@ def _assemble(row_basis, col_basis, blocks, zero) -> list[list]:
     return full
 
 
-def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
-    """Integer matrix of D, rows indexed by the form basis, columns by sections.
+def _element_blocks(problem: GalerkinProblem):
+    """Yield (V elements, W elements, D-block, G_V, G_W), Gram blocks square."""
+    for w, bs, betas, d_block, g_v, g_w in _weight_blocks(problem):
+        bv = [BasisElementV(b + w, b) for b in bs]
+        bw = [BasisElementW(beta + w + 1, beta) for beta in betas]
+        g_v = [list(g_v[i : i + len(bv)]) for i in range(len(bv))]
+        g_w = [list(g_w[i : i + len(bw)]) for i in range(len(bw))]
+        yield bv, bw, d_block, g_v, g_w
 
-    For a restricted problem the full-range targets must themselves satisfy
-    the weight constraint; a violation raises BlockLeakError since it means
-    the operator does not preserve the block decomposition.
-    """
-    blocks = ((bw, bv, d_block) for _, bv, bw, d_block, _, _ in _weight_blocks(problem))
+
+def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
+    """Integer matrix of D, rows indexed by the form basis, columns by sections."""
+    blocks = ((bw, bv, d_block) for bv, bw, d_block, _, _ in _element_blocks(problem))
     return _assemble(problem.basis_w(), problem.basis_v(), blocks, 0)
 
 
 def gram_matrices(problem: GalerkinProblem):
     """Exact Gram matrices (G_V, G_W) of the two bases, zero across weights."""
-    blocks = list(_weight_blocks(problem))
+    blocks = list(_element_blocks(problem))
     bv, bw = problem.basis_v(), problem.basis_w()
-    g_v = _assemble(bv, bv, [(v, v, g) for _, v, _, _, g, _ in blocks], Fraction(0))
-    g_w = _assemble(bw, bw, [(w, w, g) for _, _, w, _, _, g in blocks], Fraction(0))
+    g_v = _assemble(bv, bv, [(v, v, g) for v, _, _, g, _ in blocks], Fraction(0))
+    g_w = _assemble(bw, bw, [(w, w, g) for _, w, _, _, g in blocks], Fraction(0))
     return g_v, g_w
 
 
@@ -321,9 +311,9 @@ def _report(problem, dim_v, dim_w, rank, samples=(), pairing=None) -> SpectralRe
 def exact_index(problem: GalerkinProblem) -> SpectralReport:
     """Kernel, cokernel, and index of the truncated complex, exactly over Q."""
     dim_v = dim_w = rank = 0
-    for _, bv, bw, d_block, _, _ in _weight_blocks(problem):
-        dim_v += len(bv)
-        dim_w += len(bw)
+    for _, bs, betas, d_block, _, _ in _weight_blocks(problem):
+        dim_v += len(bs)
+        dim_w += len(betas)
         rank += _integer_rank(d_block)
     return _report(problem, dim_v, dim_w, rank)
 
@@ -333,11 +323,13 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-def _gram_cholesky(gram, problem: GalerkinProblem, space: str, weight: int) -> np.ndarray:
-    """Lower Cholesky factor of a Gram block in float; NumericalBreakdown if none."""
-    factor, info = dpotrf(np.array(gram, dtype=float), lower=1, clean=1)
+def _gram_cholesky(moments, problem: GalerkinProblem, space: str, weight: int) -> np.ndarray:
+    """Lower float Cholesky factor of the Hankel block of `moments`, or NumericalBreakdown."""
+    n = (len(moments) + 1) // 2
+    hankel = np.array(moments, dtype=float)[np.add.outer(np.arange(n), np.arange(n))]
+    factor, info = dpotrf(hankel, lower=1, clean=1)
     if info > 0:
-        raise NumericalBreakdown(problem.d, problem.K, space, weight, info, len(gram))
+        raise NumericalBreakdown(problem.d, problem.K, space, weight, info, n)
     if info < 0:
         raise ValueError(f"LAPACK potrf rejected argument {-info}")
     return factor
@@ -352,7 +344,7 @@ def _block_spectra(problem: GalerkinProblem):
     """
     rank = 0
     parts_v, parts_w, parts_sigma = [], [], []
-    for weight, bv, bw, d_block, g_v, g_w in _weight_blocks(problem):
+    for weight, _, _, d_block, g_v, g_w in _weight_blocks(problem):
         rank += _integer_rank(d_block)
         l_v = _gram_cholesky(g_v, problem, "section", weight)
         l_w = _gram_cholesky(g_w, problem, "form", weight)

@@ -170,8 +170,8 @@ def test_heat_numerical_breakdown_exit_code(capsys, monkeypatch):
     exact_blocks = galerkin._weight_blocks
 
     def broken_blocks(problem):
-        for weight, bv, bw, d_block, g_v, g_w in exact_blocks(problem):
-            yield weight, bv, bw, d_block, [[-x for x in row] for row in g_v], g_w
+        for weight, bs, betas, d_block, g_v, g_w in exact_blocks(problem):
+            yield weight, bs, betas, d_block, tuple(-x for x in g_v), g_w
 
     monkeypatch.setattr(galerkin, "_weight_blocks", broken_blocks)
     code, out, err = run_cli(capsys, ["heat", "--d", "2", "--K", "1"])

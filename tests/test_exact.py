@@ -1,13 +1,15 @@
 """Tests for exact cyclotomic arithmetic and fixed-point character sums.
 
 Every exact value asserted here is checked against an independent route:
-sympy for cyclotomic polynomials, a complex floating-point brute-force sum
-and the term-by-term field evaluation (one CyclotomicElement inversion per
-term, from the test-side oracle in _cyclotomic_field.py) for the Lefschetz
-contributions, and closed forms for the reciprocal sums.
+sympy and the division of x^n - 1 by every smaller Phi_d for cyclotomic
+polynomials, a complex floating-point brute-force sum and the term-by-term
+field evaluation (one CyclotomicElement inversion per term, from the
+test-side oracle in _cyclotomic_field.py) for the Lefschetz contributions,
+and closed forms for the reciprocal sums.
 """
 
 import cmath
+import functools
 import math
 import random
 import tracemalloc
@@ -76,6 +78,25 @@ def test_cyclotomic_polynomial_matches_sympy():
         ours = cyclotomic_polynomial(n)
         theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
         assert list(ours) == [int(c) for c in reversed(theirs)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_by_divisors(n):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d (the oracle)."""
+    if n == 1:
+        return (-1, 1)
+    poly = tuple([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = exact._poly_divmod(poly, _cyclotomic_by_divisors(d))
+            assert not any(rem)
+    return poly
+
+
+def test_cyclotomic_polynomial_matches_divisor_division():
+    # every n < 600, and two highly composite orders with many divisors
+    for n in [*range(1, 600), 4620, 9240]:
+        assert cyclotomic_polynomial(n) == _cyclotomic_by_divisors(n), n
 
 
 def test_cyclotomic_polynomials_multiply_back():

@@ -18,7 +18,6 @@ from cstar_index import galerkin
 from cstar_index.galerkin import (
     BasisElementV,
     BasisElementW,
-    BlockLeakError,
     EquivariantRestriction,
     GalerkinProblem,
     NumericalBreakdown,
@@ -50,8 +49,13 @@ def test_basis_dimensions_and_weights():
 
 def test_dbar_matrix_against_symbolic_differentiation():
     z, zb = sympy.symbols("z zbar")
-    for d, K in [(0, 1), (2, 2), (-1, 2), (3, 3)]:
-        p = GalerkinProblem(d=d, K=K)
+    problems = [GalerkinProblem(d=d, K=K) for d, K in [(0, 1), (2, 2), (-1, 2), (3, 3), (-2, 2)]]
+    problems += [
+        GalerkinProblem(d=8, K=4, equivariance=EquivariantRestriction(l=3, label=2)),
+        GalerkinProblem(d=4, K=2, equivariance=EquivariantRestriction(l=2, label=0)),
+    ]
+    for p in problems:
+        d, K = p.d, p.K
         bv, bw = p.basis_v(), p.basis_w()
         mat = build_dbar_matrix(p)
         w_index = {(e.alpha, e.beta): i for i, e in enumerate(bw)}
@@ -66,7 +70,7 @@ def test_dbar_matrix_against_symbolic_differentiation():
             for row, f in enumerate(bw):
                 expected = seen.pop((f.alpha, f.beta), 0)
                 assert mat[row][col] == expected, (d, K, e, f)
-            assert not seen  # nothing may fall outside the form basis
+            assert not seen  # nothing may fall outside the (restricted) form basis
 
 
 def test_beta_moment_against_sympy_and_quad():
@@ -108,6 +112,25 @@ def test_gram_entry_matches_polar_double_integral():
         power = bw[i2].alpha + bw[i2].beta
         radial = quad(lambda r: 2 * r ** (2 * power + 1) * (1 + r * r) ** (-s), 0, np.inf)[0]
         assert abs(radial - float(g_w[i2][i2])) < 1e-9
+
+
+def test_gram_matrices_match_pairwise_moments():
+    # the dense oracle pairs every two basis elements; the blocks are Hankel
+    # moment vectors, so this checks their offsets and their scatter
+    problems = [GalerkinProblem(d=d, K=K) for d, K in [(0, 1), (3, 4), (-3, 5), (-2, 2), (6, 6)]]
+    problems.append(GalerkinProblem(d=8, K=4, equivariance=EquivariantRestriction(l=3, label=2)))
+    for p in problems:
+        s = 2 * p.K + p.d + 2
+        g_v, g_w = gram_matrices(p)
+        v_pairs = [(e.a, e.b, e.weight) for e in p.basis_v()]
+        w_pairs = [(f.alpha, f.beta, f.weight) for f in p.basis_w()]
+        for gram, pairs in ((g_v, v_pairs), (g_w, w_pairs)):
+            assert len(gram) == len(pairs)
+            for row, (a, _, weight) in zip(gram, pairs):
+                assert len(row) == len(pairs)
+                for x, (_, b, other) in zip(row, pairs):
+                    want = galerkin._beta_moment(a + b, s) if weight == other else 0
+                    assert x == want, (p, a, b)
 
 
 def test_gram_matrices_positive_definite():
@@ -225,18 +248,18 @@ def test_laplacian_pairing():
 
 
 def test_gram_cholesky_breakdown_is_typed(monkeypatch):
-    # zeroing a diagonal entry of one form Gram block makes its second
-    # leading minor nonpositive, as rounding does on large problems
+    # zeroing moment 2, the (1, 1) Hankel entry, of one form Gram block makes
+    # its second leading minor -mu_1^2 negative, as rounding does on large
+    # problems
     exact_blocks = galerkin._weight_blocks
     broken = {}
 
     def broken_blocks(problem):
-        for weight, bv, bw, d_block, g_v, g_w in exact_blocks(problem):
-            if len(bw) >= 2 and not broken:
-                broken.update(weight=weight, size=len(bw))
-                g_w = [list(row) for row in g_w]
-                g_w[1][1] = Fraction(0)
-            yield weight, bv, bw, d_block, g_v, g_w
+        for weight, bs, betas, d_block, g_v, g_w in exact_blocks(problem):
+            if len(betas) >= 2 and not broken:
+                broken.update(weight=weight, size=len(betas))
+                g_w = g_w[:2] + (Fraction(0),) + g_w[3:]
+            yield weight, bs, betas, d_block, g_v, g_w
 
     monkeypatch.setattr(galerkin, "_weight_blocks", broken_blocks)
     with pytest.raises(NumericalBreakdown) as exc:
@@ -299,17 +322,6 @@ def test_section_spectrum_matches_closed_form(d, K):
     assert harmonic == max(d + 1, 0)
     assert np.max(np.abs(evals_v[:harmonic]), initial=0.0) < 1e-10
     assert np.max(np.abs(evals_v[harmonic:] - want) / want) < 1e-10
-
-
-def test_block_leak_is_detected(monkeypatch):
-    # the target w_{a,b} of v_{a,b} has weight a - b - 1, one below its source
-    monkeypatch.setattr(
-        galerkin, "_dbar_images", lambda elem, K: [(1, BasisElementW(elem.a, elem.b))]
-    )
-    p = GalerkinProblem(d=2, K=2)
-    for compute in (exact_index, supertrace, build_dbar_matrix):
-        with pytest.raises(BlockLeakError):
-            compute(p)
 
 
 def test_supertrace_walks_the_blocks_once(monkeypatch):

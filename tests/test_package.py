@@ -12,7 +12,7 @@ ROOT_NAMES = {
     "kawasaki_to_json_dict", "kawasaki_from_json_dict",
     "invariant_monomial_count", "kappa", "h1_equivariant", "analytic_index",
     "hrr_term", "mu_closed", "mu_bruteforce", "kawasaki_index", "verify_identity",
-    "BlockLeakError", "BasisElementV", "BasisElementW", "EquivariantRestriction",
+    "BasisElementV", "BasisElementW", "EquivariantRestriction",
     "GalerkinProblem", "NumericalBreakdown", "SpectralReport", "exact_index",
     "supertrace", "equivariant_block_index",
     "DivergenceDetected", "QuadratureError", "Cutoff", "FiberMeasureParams",
@@ -34,4 +34,4 @@ def test_root_names_are_the_module_lists():
     modules = (exact, model, analytic, topological, galerkin, measure)
     assert names == [n for mod in modules for n in mod.__all__] + ["__version__"]
     assert set(names) == ROOT_NAMES
-    assert len(ROOT_NAMES) == 49
+    assert len(ROOT_NAMES) == 48
