@@ -9,11 +9,12 @@ Subcommands:
     measure   fiber measure diagnostics: mass, unity, projector axioms
 
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
-validation errors, 3 unwritable output path, 4 divergent measure parameters,
-5 numerical breakdown (the float Gram factorization in heat failed, a
-measure quadrature did not converge within its budget, or an isotropy order
-is too large for exact point sums).  Each subcommand returns 0 to 3
-itself; codes 4 and 5 come from one table, `_ERROR_EXITS`, through which
+validation errors (a negative or non-finite heat time among them), 3
+unwritable output path, 4 divergent measure parameters, 5 numerical
+breakdown (the float Gram factorization in heat failed, a measure
+quadrature did not converge within its budget, or an isotropy order is too
+large for exact point sums).  Each subcommand returns 0 to 3 itself;
+codes 4 and 5 come from one table, `_ERROR_EXITS`, through which
 `main` reports the typed numerical errors of every subcommand.  Any other
 error, a plain OverflowError included, is a fault of the program and ends in
 a traceback with Python's exit status 1.
@@ -36,13 +37,15 @@ from functools import lru_cache
 from .analytic import _check_family_args, kappa
 from .exact import OrderTooLargeError, format_rational, lefschetz_point_sum
 from .galerkin import (
+    _HEAT_TIMES,
     EquivariantRestriction,
     GalerkinProblem,
     NumericalBreakdown,
+    _check_heat_times,
     supertrace,
 )
 from .measure import (
-    Cutoff,
+    _MAX_SUBDIVISIONS,
     DivergenceDetected,
     FiberMeasureParams,
     QuadratureConfig,
@@ -219,8 +222,7 @@ def cmd_heat(args) -> int:
         parser.error("--d is required unless --l/--m are given")
     try:
         problem = GalerkinProblem(d=d, K=args.K, equivariance=restriction)
-        if any(t < 0 for t in args.t):
-            raise ValueError("heat time must be nonnegative")
+        _check_heat_times(args.t)
     except ValueError as exc:
         return _fail(exc)
     report = supertrace(problem, tuple(args.t))
@@ -263,12 +265,8 @@ def cmd_heat(args) -> int:
 
 def cmd_measure(args) -> int:
     try:
-        params = FiberMeasureParams(
-            a=args.a, m=args.m, cutoff=Cutoff(args.cutoff), allow_divergent=True
-        )
-        quad = QuadratureConfig(
-            rel_tolerance=args.tol, angular_nodes=args.angular_nodes
-        )
+        params = FiberMeasureParams(a=args.a, m=args.m, cutoff=args.cutoff)
+        quad = QuadratureConfig(rel_tolerance=args.tol, angular_nodes=args.angular_nodes)
     except ValueError as exc:
         return _fail(exc)
     lam = lambda_m(params, quad)
@@ -283,7 +281,7 @@ def cmd_measure(args) -> int:
         "measure_total_defect": None if axioms is None else axioms.measure_total_defect,
         "tolerances": {
             "rel_tolerance": quad.rel_tolerance,
-            "max_subdivisions": quad.max_subdivisions,
+            "max_subdivisions": _MAX_SUBDIVISIONS,
             "angular_nodes": quad.angular_nodes,
         },
     }
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--K", type=int, required=True)
     p_heat.add_argument("--l", type=int, default=None)
     p_heat.add_argument("--m", type=int, default=None)
-    p_heat.add_argument("--t", type=float, nargs="+", default=(0.05, 0.5, 5.0))
+    p_heat.add_argument("--t", type=float, nargs="+", default=_HEAT_TIMES)
     p_heat.add_argument("--json", action="store_true")
 
     p_measure = sub.add_parser("measure", help="fiber measure diagnostics")
@@ -337,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--a", type=float, required=True)
     p_measure.add_argument("--m", type=int, required=True)
     p_measure.add_argument("--cutoff", choices=("smooth", "hard"), default="smooth")
-    p_measure.add_argument("--tol", type=float, default=1e-6)
-    p_measure.add_argument("--angular-nodes", dest="angular_nodes", type=int, default=32)
+    p_measure.add_argument("--tol", type=float, default=QuadratureConfig.rel_tolerance)
+    p_measure.add_argument("--angular-nodes", dest="angular_nodes", type=int, default=QuadratureConfig.angular_nodes)
     p_measure.add_argument("--skip-projector", action="store_true")
 
     return parser

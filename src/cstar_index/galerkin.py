@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, isfinite
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -377,8 +377,17 @@ def laplacian_pairing_defect(problem: GalerkinProblem) -> float:
     return supertrace(problem, ()).pairing_defect
 
 
+_HEAT_TIMES = (0.05, 0.5, 5.0)
+
+
+def _check_heat_times(t_values) -> None:
+    """Refuse a heat time that is negative, NaN or infinite."""
+    if not all(isfinite(t) and t >= 0 for t in t_values):
+        raise ValueError("heat time must be nonnegative and finite")
+
+
 def supertrace(
-    problem: GalerkinProblem, t_values: tuple[float, ...] = (0.05, 0.5, 5.0)
+    problem: GalerkinProblem, t_values: tuple[float, ...] = _HEAT_TIMES
 ) -> SpectralReport:
     """Exact index data, heat supertrace samples str(t) and the pairing defect.
 
@@ -386,8 +395,7 @@ def supertrace(
     independently diagonalized Laplacians.  Zero modes contribute 1 each, so
     every sample should reproduce ker - coker regardless of t.
     """
-    if any(t < 0 for t in t_values):
-        raise ValueError("heat time must be nonnegative")
+    _check_heat_times(t_values)
     rank, evals_v, evals_w, sigma = _block_spectra(problem)
     samples = [
         (float(t), float(np.sum(np.exp(-t * evals_v)) - np.sum(np.exp(-t * evals_w))))

@@ -39,8 +39,9 @@ and geometrically growing tail windows.  On each segment the panel count
 doubles from one 12-point panel until two successive estimates agree within
 the segment's share of the tolerance, so that error estimate, not a fixed
 minimum panel count, sets how many nodes a rule has.  Divergent parameter
-choices (a <= m/2) are detected empirically from the window ratios, not by
-a formula, so the integrability dichotomy is itself under test.
+choices (a <= m/2) are refused only by lambda_m, which every consumer calls
+first, empirically from the window ratios, not by a formula, so the
+integrability dichotomy is itself under test.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_MAX_SUBDIVISIONS = 12
 _MIN_REL_TOLERANCE = 1000 * np.finfo(float).eps
 _BAD_RADIUS = "radius must be finite and nonnegative"
 
@@ -93,15 +95,14 @@ class FiberMeasureParams:
     """Tail exponent a, fiber weight m, and the cutoff profile.
 
     The moment r^(2m) is integrable against the measure exactly when
-    a > m/2.  Divergent combinations are refused unless allow_divergent is
-    set, which exists so the divergence detector can be exercised on
-    purpose.
+    a > m/2.  Divergent combinations are accepted here and refused by
+    lambda_m's tail-window detector (module docstring).  The cutoff may be
+    given as a Cutoff or as its value string.
     """
 
     a: float
     m: int
     cutoff: Cutoff = Cutoff.SMOOTH_BUMP
-    allow_divergent: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 0:
@@ -112,17 +113,11 @@ class FiberMeasureParams:
         object.__setattr__(self, "a", a)
         if not isinstance(self.cutoff, Cutoff):
             object.__setattr__(self, "cutoff", Cutoff(self.cutoff))
-        if a <= self.m / 2 and not self.allow_divergent:
-            raise ValueError(
-                f"moment m={self.m} diverges for a={a}; "
-                "pass allow_divergent=True to probe this on purpose"
-            )
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tolerance: float = 1e-6
-    max_subdivisions: int = 12
     angular_nodes: int = 32
 
     def __post_init__(self) -> None:
@@ -130,8 +125,6 @@ class QuadratureConfig:
         # refuses a relative tolerance below 50 machine epsilons
         if not (_MIN_REL_TOLERANCE < self.rel_tolerance <= 0.1):
             raise ValueError(f"rel_tolerance must lie in ({_MIN_REL_TOLERANCE:.3g}, 0.1]")
-        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 4:
-            raise ValueError("max_subdivisions must be an integer >= 4")
         if not isinstance(self.angular_nodes, int) or self.angular_nodes < 8:
             raise ValueError("angular_nodes must be an integer >= 8")
 
@@ -236,18 +229,18 @@ def _panel_integral(f, lo: float, hi: float, n_panels: int) -> complex:
     return complex(np.dot(vals, wts))
 
 
-def _refine(f, lo: float, hi: float, tol_abs: float, max_subdivisions: int):
+def _refine(f, lo: float, hi: float, tol_abs: float):
     """Panel-doubling Gauss quadrature on [lo, hi]; returns (value, panels).
 
     The doubling starts from a single panel and stops at the first pair of
     successive estimates within tol_abs, returning the finer one, so the
     error estimate alone sets the size of the rule: there is no floor on
-    the panel count.  The finest rule tried has 2**(max_subdivisions + 1)
+    the panel count.  The finest rule tried has 2**(_MAX_SUBDIVISIONS + 1)
     panels.
     """
     n = 1
     prev = _panel_integral(f, lo, hi, n)
-    for _ in range(max_subdivisions + 1):
+    for _ in range(_MAX_SUBDIVISIONS + 1):
         n *= 2
         cur = _panel_integral(f, lo, hi, n)
         if abs(cur - prev) <= tol_abs:
@@ -290,7 +283,7 @@ def _integrate_radial(
 
     total = 0j
     for lo, hi in segments:
-        val, n = _refine(f, lo, hi, seg_tol, quad.max_subdivisions)
+        val, n = _refine(f, lo, hi, seg_tol)
         total += val
         if record is not None:
             record.append((lo, hi, n))
@@ -300,7 +293,7 @@ def _integrate_radial(
     prev_mag = None
     strikes = 0
     for _ in range(_TAIL_WINDOW_BUDGET):
-        val, n = _refine(f, lo, 2 * lo, seg_tol, quad.max_subdivisions)
+        val, n = _refine(f, lo, 2 * lo, seg_tol)
         total += val
         if record is not None:
             record.append((lo, 2 * lo, n))
@@ -356,12 +349,12 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     cutoff has fully handed over; only the denominator comes from the
     in-house engine, so agreement with 1 cross-validates both.
     """
+    lam = lambda_m(params, quad)
     a, m = params.a, params.m
     if 4 * a - 2 * m <= 0:
         raise DivergenceDetected(
             f"moment m={m} has a non-integrable tail for a={a}"
         )
-    lam = lambda_m(params, quad)
     m2 = 2 * m
 
     def integrand(rr: float) -> float:
@@ -375,7 +368,7 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
 
 
 def pullback_measure_total(
-    params: FiberMeasureParams, quad: QuadratureConfig, w: complex = 1.0
+    params: FiberMeasureParams, quad: QuadratureConfig, w: complex
 ) -> float:
     """Mass of the weight-m measure pulled back through the orbit of w.
 
@@ -515,30 +508,27 @@ _EQUIVARIANCE_FACTORS = (
 )
 
 
-def _default_bump(w: np.ndarray) -> np.ndarray:
+def _bump(w: np.ndarray) -> np.ndarray:
     # generic smooth test function with all weights present
     return np.exp(-np.abs(w - 1.2) ** 2 / 0.4)
 
 
 def projector_axioms_check(
-    params: FiberMeasureParams,
-    quad: QuadratureConfig,
-    test_functions: Sequence[Callable] | None = None,
+    params: FiberMeasureParams, quad: QuadratureConfig
 ) -> ProjectorAxiomsReport:
     """Measure how well P_m satisfies its defining identities.
 
     Checks, on a fixed probe set: P_m kills the monomials w^k for k != m
-    near m and fixes w^m (monomial_defect); P_m(P_m u) = P_m u for generic
-    test functions (idempotency_defect); P_m u transforms with the m-th
-    character under scaling of the argument (equivariance_defect); and the
-    pulled-back fiber measure has unit mass (measure_total_defect).  The
-    monomials probed are the w^k with m-3 <= k <= m+3 that P_m can
-    integrate: the radial integrand of w^k decays like t^(k+m-4a-1), so only
-    k < 4a - m are kept.  For the others the character sum cancels a
-    non-integrable tail, and any verdict on them would be rounding noise.
+    near m and fixes w^m (monomial_defect); P_m(P_m u) = P_m u for a smooth
+    bump u with every weight present (idempotency_defect); P_m u transforms
+    with the m-th character under scaling of the argument
+    (equivariance_defect); and the pulled-back fiber measure has unit mass
+    (measure_total_defect).  The monomials probed are the w^k with
+    m-3 <= k <= m+3 that P_m can integrate: the radial integrand of w^k
+    decays like t^(k+m-4a-1), so only k < 4a - m are kept.  For the others
+    the character sum cancels a non-integrable tail, and any verdict on them
+    would be rounding noise.
     """
-    if test_functions is None:
-        test_functions = (_default_bump,)
     m = params.m
 
     monomial = 0.0
@@ -553,15 +543,14 @@ def projector_axioms_check(
 
     idem = 0.0
     equiv = 0.0
-    for u in test_functions:
-        pu = project_m(u, params, quad)
-        ppu = project_m(pu, params, quad)
-        for p in _PROBE_POINTS:
-            first = pu(complex(p))
-            idem = max(idem, abs(ppu(complex(p)) - first))
-            for xi in _EQUIVARIANCE_FACTORS:
-                xi = complex(xi)
-                equiv = max(equiv, abs(pu(xi * complex(p)) - xi**m * first))
+    pu = project_m(_bump, params, quad)
+    ppu = project_m(pu, params, quad)
+    for p in _PROBE_POINTS:
+        first = pu(complex(p))
+        idem = max(idem, abs(ppu(complex(p)) - first))
+        for xi in _EQUIVARIANCE_FACTORS:
+            xi = complex(xi)
+            equiv = max(equiv, abs(pu(xi * complex(p)) - xi**m * first))
 
     mass = 0.0
     for p in _PROBE_POINTS:

@@ -1,10 +1,11 @@
 """Data model for orbifold curves with isolated cyclic singular points.
 
-The objects here are plain records: a fixed point with its isotropy data, the
-one-parameter family of weighted projective lines we test against, and the
-Kawasaki-style decomposition of a topological index into a smooth term plus
-per-point correction data.  Evaluation of the corrections lives elsewhere;
-this module only builds, validates, and (de)serializes the records.
+The objects here are plain records: a fixed point with its isotropy data and
+the Kawasaki-style decomposition of a topological index into a smooth term plus
+per-point correction data, built directly for the one-parameter family of
+weighted projective lines we test against by example_to_kawasaki.
+Evaluation of the corrections lives elsewhere; this module only builds,
+validates, and (de)serializes the records.
 
 Serialized rationals are decimal-free "p/q" strings so that round-tripping
 through JSON never touches floating point.
@@ -26,7 +27,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ValidationError",
     "FixedPointDatum",
-    "ExampleFamilySpec",
     "KawasakiCurveSpec",
     "IndexReport",
     "example_to_kawasaki",
@@ -75,24 +75,6 @@ class FixedPointDatum:
 
 
 @dataclass(frozen=True)
-class ExampleFamilySpec:
-    """The test family: a degree-m bundle over a curve with one order-l point.
-
-    The curve is the quotient of the projective line by the cyclic group of
-    order l acting on a chart by z -> zeta_l * z, and the bundle is the one
-    whose invariant sections are spanned by monomials of exponent congruent
-    to m modulo l.  Both orbifold points of the quotient have isotropy of
-    order l.
-    """
-
-    l: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _check_family_args(self.l, self.m)
-
-
-@dataclass(frozen=True)
 class KawasakiCurveSpec:
     """Topological index data: a smooth Riemann-Roch term plus point data."""
 
@@ -129,16 +111,20 @@ class IndexReport:
         }
 
 
-def example_to_kawasaki(spec: ExampleFamilySpec) -> KawasakiCurveSpec:
-    """Kawasaki data for the test family.
+def example_to_kawasaki(l: int, m: int) -> KawasakiCurveSpec:
+    """Kawasaki data for the test family at (l, m).
 
-    The smooth term is the degree-plus-genus Riemann-Roch contribution
-    (2m + 1)/l of the quotient, and each of the two orbifold points carries
-    isotropy of order l, normal weight 1, and bundle weight m mod l.  The
-    two points enter symmetrically because inverting the chart coordinate
-    conjugates the isotropy character, which permutes the summation range.
+    The curve is the quotient of the projective line by the cyclic group of
+    order l >= 2 acting on a chart by z -> zeta_l * z, and the bundle, of
+    degree m >= 0, is the one whose invariant sections are spanned by
+    monomials of exponent congruent to m modulo l.  The smooth term is the
+    degree-plus-genus Riemann-Roch contribution (2m + 1)/l of the quotient,
+    and each of its two orbifold points carries isotropy of order l, normal
+    weight 1, and bundle weight m mod l.  The two points enter symmetrically
+    because inverting the chart coordinate conjugates the isotropy
+    character, which permutes the summation range.
     """
-    l, m = spec.l, spec.m
+    _check_family_args(l, m)
     point = FixedPointDatum(isotropy_order=l, normal_weight=1, bundle_weight=m % l)
     return KawasakiCurveSpec(
         smooth_term=Fraction(2 * m + 1, l),
@@ -182,10 +168,12 @@ def kawasaki_from_json_dict(obj: Any) -> KawasakiCurveSpec:
     for key in obj:
         _require(key in allowed, key, "unknown field")
     _require("schema_version" in obj, "schema_version", "missing required field")
+    version = obj["schema_version"]
     _require(
-        obj["schema_version"] == SCHEMA_VERSION,
+        # True == 1 == 1.0: a bool or float version must not pass as 1
+        type(version) is int and version == SCHEMA_VERSION,
         "schema_version",
-        f"unsupported version {obj['schema_version']!r}, expected {SCHEMA_VERSION}",
+        f"unsupported version {version!r}, expected {SCHEMA_VERSION}",
     )
     _require("smooth_term" in obj, "smooth_term", "missing required field")
     _require(

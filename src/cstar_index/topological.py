@@ -14,12 +14,7 @@ from fractions import Fraction
 
 from .analytic import _check_family_args, analytic_index
 from .exact import Rational, lefschetz_point_sum
-from .model import (
-    ExampleFamilySpec,
-    IndexReport,
-    KawasakiCurveSpec,
-    example_to_kawasaki,
-)
+from .model import IndexReport, KawasakiCurveSpec, example_to_kawasaki
 
 __all__ = [
     "hrr_term",
@@ -75,7 +70,7 @@ def verify_identity(l: int, m: int) -> IndexReport:
     """
     _check_family_args(l, m)
     analytic = analytic_index(l, m)
-    kspec = example_to_kawasaki(ExampleFamilySpec(l=l, m=m))
+    kspec = example_to_kawasaki(l, m)
     point_values = tuple(
         lefschetz_point_sum(p.isotropy_order, p.normal_weight, p.bundle_weight)
         for p in kspec.points

@@ -151,7 +151,7 @@ def test_criterion_6_fiber_measure():
     for m in (1, 2):
         a = m / 2 - 0.1
         try:
-            lambda_m(FiberMeasureParams(a=a, m=m, allow_divergent=True), quad)
+            lambda_m(FiberMeasureParams(a=a, m=m), quad)
             failures.append(f"a={a} m={m}: divergence not detected")
         except DivergenceDetected:
             pass

@@ -15,7 +15,7 @@ import pytest
 import cstar_index
 from cstar_index import exact, galerkin
 from cstar_index.cli import build_parser, main
-from cstar_index.model import ExampleFamilySpec, example_to_kawasaki, kawasaki_to_json_dict
+from cstar_index.model import example_to_kawasaki, kawasaki_to_json_dict
 
 
 def run_cli(capsys, argv):
@@ -112,7 +112,7 @@ def test_sweep_to_file_and_unwritable_path(tmp_path, capsys):
 
 
 def test_kawasaki_roundtrip(tmp_path, capsys):
-    spec = example_to_kawasaki(ExampleFamilySpec(l=4, m=5))
+    spec = example_to_kawasaki(4, 5)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(kawasaki_to_json_dict(spec)))
     code, out, _ = run_cli(capsys, ["kawasaki", "--spec", str(path)])
@@ -144,6 +144,19 @@ def test_kawasaki_validation_failures(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, ["kawasaki", "--spec", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_kawasaki_rejects_non_integer_schema_version(tmp_path, capsys, version):
+    # True == 1 == 1.0, so only the type tells these apart from version 1
+    doc = kawasaki_to_json_dict(example_to_kawasaki(4, 5))
+    doc["schema_version"] = version
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["kawasaki", "--spec", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "schema_version" in err
 
 
 def test_heat_full_problem(capsys):
@@ -220,6 +233,20 @@ def test_heat_rejects_negative_time(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "heat time must be nonnegative" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "1e400"])
+def test_heat_rejects_nonfinite_time(capsys, monkeypatch, t):
+    # NaN and Infinity would otherwise reach the JSON output, which has no
+    # such values; a negative time is test_heat_rejects_negative_time's case
+    def no_walk(problem):
+        raise AssertionError("heat times must be checked before any block is built")
+
+    monkeypatch.setattr(galerkin, "_weight_blocks", no_walk)
+    code, out, err = run_cli(capsys, ["heat", "--d", "2", "--K", "2", "--t", t, "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: heat time must be nonnegative and finite\n"
 
 
 @pytest.mark.parametrize(
@@ -326,7 +353,7 @@ def test_measure_with_projector(capsys):
 
 def test_one_parser_serves_repeated_calls(tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    family = example_to_kawasaki(ExampleFamilySpec(l=4, m=5))
+    family = example_to_kawasaki(4, 5)
     spec.write_text(json.dumps(kawasaki_to_json_dict(family)))
     argvs = [
         ["verify", "--l", "12", "--m", "35", "--json"],

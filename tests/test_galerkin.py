@@ -380,6 +380,16 @@ def test_equivariant_block_additivity():
             assert total == 2 * m + 1, (l, m)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 1e400, -1.0])
+def test_supertrace_rejects_negative_or_nonfinite_time(t, monkeypatch):
+    def no_walk(problem):
+        raise AssertionError("heat times must be checked before any block is built")
+
+    monkeypatch.setattr(galerkin, "_block_spectra", no_walk)
+    with pytest.raises(ValueError, match="heat time must be nonnegative and finite"):
+        supertrace(GalerkinProblem(d=2, K=2), (0.5, t))
+
+
 def test_restricted_problem_with_empty_block():
     # weights of the d=0, K=1 complex are {-1, 0, 1}; label 2 mod 5 is empty
     p = GalerkinProblem(d=0, K=1, equivariance=EquivariantRestriction(l=5, label=2))

@@ -132,9 +132,10 @@ def test_params_validation():
         FiberMeasureParams(a=0.0, m=0)
     with pytest.raises(ValueError):
         FiberMeasureParams(a=1.0, m=-1)
-    with pytest.raises(ValueError):
-        FiberMeasureParams(a=1.0, m=2)  # a = m/2 diverges
-    FiberMeasureParams(a=1.0, m=2, allow_divergent=True)
+    # a = m/2 diverges: the parameters are built, and lambda_m refuses them
+    divergent = FiberMeasureParams(a=1.0, m=2)
+    with pytest.raises(DivergenceDetected):
+        lambda_m(divergent, DEFAULT)
     FiberMeasureParams(a=1.01, m=2)
 
 
@@ -143,8 +144,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tolerance=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tolerance=1e-13)  # scipy quad cannot reach it
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=2)
     with pytest.raises(ValueError):
         QuadratureConfig(angular_nodes=4)
 
@@ -223,12 +222,12 @@ def test_refine_budget_and_failure():
         return np.full(x.shape, float(x.size))
 
     with pytest.raises(QuadratureError):
-        measure._refine(unsettled, 0.0, 1.0, 1e-3, 5)
+        measure._refine(unsettled, 0.0, 1.0, 1e-3)
     assert panels[0] == 1
-    assert max(panels) == 2 ** (5 + 1)
+    assert max(panels) == 2 ** (measure._MAX_SUBDIVISIONS + 1) == 2**13
 
     # a polynomial is exact on one panel, so the first comparison settles
-    val, n = measure._refine(lambda x: x * x, 0.0, 3.0, 1e-12, 5)
+    val, n = measure._refine(lambda x: x * x, 0.0, 3.0, 1e-12)
     assert abs(val - 9.0) < 1e-12 and n == 2
 
 
@@ -264,15 +263,35 @@ def test_radial_rule_size_set_by_error_estimate(rule_sizes):
 
 def test_divergence_detected_empirically():
     for m in (1, 2):
-        p = FiberMeasureParams(a=m / 2 - 0.1, m=m, allow_divergent=True)
+        p = FiberMeasureParams(a=m / 2 - 0.1, m=m)
         with pytest.raises(DivergenceDetected):
             lambda_m(p, DEFAULT)
         with pytest.raises(DivergenceDetected):
             unity_check(p, DEFAULT)
     # the borderline case diverges logarithmically and must also be caught
-    p = FiberMeasureParams(a=1.0, m=2, allow_divergent=True)
+    p = FiberMeasureParams(a=1.0, m=2)
     with pytest.raises(DivergenceDetected):
         lambda_m(p, DEFAULT)
+
+
+@pytest.mark.parametrize("a, m", [(0.4, 1), (0.9, 2), (1.0, 2)])
+@pytest.mark.parametrize(
+    "consume",
+    [
+        lambda p: lambda_m(p, DEFAULT),
+        lambda p: unity_check(p, DEFAULT),
+        lambda p: pullback_measure_total(p, DEFAULT, 0.7 * np.exp(0.4j)),
+        lambda p: project_m(_bump, p, DEFAULT),
+        lambda p: projector_axioms_check(p, DEFAULT),
+    ],
+    ids=["lambda_m", "unity_check", "pullback_measure_total", "project_m", "projector_axioms_check"],
+)
+def test_every_consumer_refuses_divergent_parameters(consume, a, m):
+    # construction accepts a <= m/2 (the last case is the borderline
+    # a = m/2); the tail-window detector is the only refusal
+    p = FiberMeasureParams(a=a, m=m)
+    with pytest.raises(DivergenceDetected, match="tail windows stopped decaying"):
+        consume(p)
 
 
 def test_just_convergent_side_converges():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from cstar_index.model import (
-    ExampleFamilySpec,
     FixedPointDatum,
     IndexReport,
     KawasakiCurveSpec,
@@ -32,17 +31,17 @@ def test_fixed_point_datum_validation():
         FixedPointDatum(isotropy_order=4, normal_weight=2, bundle_weight=1)
 
 
-def test_example_family_spec_validation():
+def test_example_to_kawasaki_validation():
     with pytest.raises(ValueError):
-        ExampleFamilySpec(l=1, m=0)
+        example_to_kawasaki(1, 0)
     with pytest.raises(ValueError):
-        ExampleFamilySpec(l=3, m=-1)
-    spec = ExampleFamilySpec(l=3, m=0)
-    assert (spec.l, spec.m) == (3, 0)
+        example_to_kawasaki(3, -1)
+    k = example_to_kawasaki(3, 0)
+    assert k.points[0].isotropy_order == 3
 
 
 def test_example_to_kawasaki_structure():
-    k = example_to_kawasaki(ExampleFamilySpec(l=3, m=4))
+    k = example_to_kawasaki(3, 4)
     assert k.smooth_term == Fraction(9, 3) == 3
     assert len(k.points) == 2
     for p in k.points:
@@ -52,7 +51,7 @@ def test_example_to_kawasaki_structure():
 
 
 def test_json_roundtrip():
-    k = example_to_kawasaki(ExampleFamilySpec(l=4, m=5))
+    k = example_to_kawasaki(4, 5)
     doc = kawasaki_to_json_dict(k)
     assert doc["schema_version"] == 1
     assert doc["smooth_term"] == "11/4"
@@ -63,12 +62,12 @@ def test_json_roundtrip():
 
 def test_json_rationals_are_decimal_free():
     for l, m in [(2, 0), (3, 7), (20, 60)]:
-        doc = kawasaki_to_json_dict(example_to_kawasaki(ExampleFamilySpec(l=l, m=m)))
+        doc = kawasaki_to_json_dict(example_to_kawasaki(l, m))
         assert "." not in doc["smooth_term"]
 
 
 def test_json_validation_error_paths():
-    good = kawasaki_to_json_dict(example_to_kawasaki(ExampleFamilySpec(l=3, m=1)))
+    good = kawasaki_to_json_dict(example_to_kawasaki(3, 1))
 
     bad = dict(good)
     bad["schema_version"] = 2
@@ -100,7 +99,7 @@ def test_json_validation_error_paths():
 
 
 def test_json_rejects_boolean_masquerading_as_int():
-    good = kawasaki_to_json_dict(example_to_kawasaki(ExampleFamilySpec(l=3, m=1)))
+    good = kawasaki_to_json_dict(example_to_kawasaki(3, 1))
     good["points"][0]["N"] = True
     with pytest.raises(ValidationError, match=r"points\[0\]\.N"):
         kawasaki_from_json_dict(good)

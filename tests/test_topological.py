@@ -6,7 +6,6 @@ import pytest
 
 from cstar_index.analytic import analytic_index
 from cstar_index.model import (
-    ExampleFamilySpec,
     FixedPointDatum,
     KawasakiCurveSpec,
     example_to_kawasaki,
@@ -54,7 +53,7 @@ def test_hrr_term_values():
 def test_kawasaki_index_of_trivial_bundle_is_one():
     # degree-zero bundle has exactly the constants as sections
     for l in range(2, 21):
-        k = example_to_kawasaki(ExampleFamilySpec(l=l, m=0))
+        k = example_to_kawasaki(l, 0)
         assert kawasaki_index(k) == 1
 
 
