@@ -29,10 +29,14 @@ evaluated, keyed on the computed w/|w| bit for bit, so it evaluates u once
 per bitwise-distinct direction over its whole life, not once per call; u
 must therefore be a pure function.  Points on one ray share that value only
 when their w/|w| round to the same bits, which along a ray they often do
-not.  Everything a calculus identity promises
-about the projector (idempotency, equivariance, killing other monomials,
-unit total mass of the pulled-back measure) is rechecked here numerically
-rather than assumed.
+not.  The directions a call has not seen reach u in blocks of about
+_RING_BLOCK = 2**14 ring points, sized so that the complex temporaries of u
+and of the character sum stay in a 2 MiB L2 cache, and each direction's
+value is a sum over its own ring alone, so it does not depend on the block
+or on which other directions share its call.  Everything a calculus identity
+promises about the projector (idempotency, equivariance, killing other
+monomials, unit total mass of the pulled-back measure) is rechecked here
+numerically rather than assumed.
 
 Quadrature is composite Gauss-Legendre with seams at the cutoff breakpoints
 and geometrically growing tail windows.  On each segment the panel count
@@ -395,6 +399,10 @@ def pullback_measure_total(
 # Weight projector
 # ---------------------------------------------------------------------------
 
+# ring points handed to u per call: a complex temporary of 2**14 points is
+# 256 KiB, so the few that u and the character sum make stay in a 2 MiB L2
+_RING_BLOCK = 2**14
+
 
 def project_m(
     u: Callable[[np.ndarray], np.ndarray],
@@ -422,9 +430,14 @@ def project_m(
     many radii on a few hundred rays call after call; w/|w| rounds
     differently along a ray, so those rays give some thousands of distinct
     directions, and the inner u runs once per direction, not once per node
-    or per call.  It passes u at most
-    2**17 values per call, so composing the projector with itself never
-    holds all its inner values at once.
+    or per call.  The directions no earlier call asked for go to u in
+    blocks of about _RING_BLOCK = 2**14 ring points (one direction's ring
+    where that is larger), so the complex temporaries of u and of the
+    character sum stay in a 2 MiB L2 cache, and composing the projector
+    with itself never holds all its inner values at once.  A direction's
+    value is the character sum of its own ring, summed over its radial
+    nodes alone, so it is a function of that direction only, bit for bit:
+    neither the block size nor the other directions of a call can change it.
     """
     lam = lambda_m(params, quad)
     m = params.m
@@ -453,7 +466,7 @@ def project_m(
     nodes = np.concatenate([pts for pts, _ in panels])
     weights = np.concatenate([wts for _, wts in panels]) * _weight(nodes)
     ring = np.multiply.outer(nodes, xi_phases)
-    chunk = max(1, 2**17 // ring.size)
+    block = max(1, _RING_BLOCK // ring.size)
     # every direction evaluated so far, sorted, and its ring value
     memo_dirs = np.empty(0, dtype=complex)
     memo_vals = np.empty(0, dtype=complex)
@@ -472,9 +485,11 @@ def project_m(
         missing = dirs[~known]
         if missing.size:
             vals = np.empty(missing.shape, dtype=complex)
-            for i in range(0, missing.size, chunk):
-                pts = missing[i : i + chunk, None, None] * ring
-                vals[i : i + chunk] = (np.asarray(u(pts)) @ character) @ weights
+            for i in range(0, missing.size, block):
+                pts = missing[i : i + block, None, None] * ring
+                # a sum per direction, not a matrix product over the block,
+                # so no block size changes the bits of a direction's value
+                vals[i : i + block] = ((np.asarray(u(pts)) @ character) * weights).sum(axis=-1)
             memo_dirs = np.insert(memo_dirs, at[~known], missing)
             memo_vals = np.insert(memo_vals, at[~known], vals)
             at = np.searchsorted(memo_dirs, dirs)

@@ -338,11 +338,15 @@ def test_projector_value_against_independent_oracle():
 
 def test_one_radial_rule_per_projector(monkeypatch):
     builds = []
+    ring_sizes = []
     engine = measure._integrate_radial
 
     def counted(*args, **kwargs):
         builds.append(args)
-        return engine(*args, **kwargs)
+        value = engine(*args, **kwargs)
+        rule = sum(n for _, _, n in kwargs["record"]) * measure._GAUSS_X.size
+        ring_sizes.append(rule * q.angular_nodes)
+        return value
 
     sizes = []
 
@@ -368,8 +372,9 @@ def test_one_radial_rule_per_projector(monkeypatch):
     sizes.clear()
     assert abs(ppu(grid[10, 1]) - vals[10, 1]) <= 10 * q.rel_tolerance
     assert len(builds) == 2
-    # P(P u) hands both u and P u their ring values in bounded slices
-    assert sizes and max(sizes) <= 2**17
+    # P(P u) hands both u and P u their ring values in blocks of at most
+    # _RING_BLOCK points, or one direction's ring where that is larger
+    assert sizes and max(sizes) <= max(measure._RING_BLOCK, *ring_sizes)
 
 
 def test_projector_shapes_and_zero_rejection():
@@ -410,7 +415,41 @@ def test_projector_evaluates_each_direction_once(rule_sizes):
     assert vals.shape == grid.shape
     for z, got in zip(grid.ravel(), vals.ravel()):
         want = proj(complex(z))
-        assert abs(got - want) <= 1e-15 * abs(want), z
+        assert got == want, z
+
+
+def test_projector_value_does_not_depend_on_batch():
+    # a direction's value is its own sum: the other directions of a call,
+    # and so the call's size, must not move its bits
+    p = FiberMeasureParams(a=1.0, m=0)
+    points = 0.9 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False))
+    batched = project_m(measure._bump, p, DEFAULT)(points)
+    single = project_m(measure._bump, p, DEFAULT)
+    alone = np.array([single(complex(z)) for z in points])
+    assert batched.tobytes() == alone.tobytes()
+
+
+def test_ring_block_changes_no_bit(monkeypatch):
+    p = FiberMeasureParams(a=1.0, m=0)
+    points = np.outer(np.linspace(0.3, 3.0, 7), np.exp(1j * np.linspace(-3.0, 3.0, 11)))
+
+    def run():
+        values = project_m(measure._bump, p, DEFAULT)(points)
+        return values.tobytes(), projector_axioms_check(p, DEFAULT)
+
+    default = run()
+    for block in (1, 2**20):
+        monkeypatch.setattr(measure, "_RING_BLOCK", block)
+        assert run() == default, block
+
+
+def test_axioms_check_bump_work(monkeypatch):
+    # the block decides which call a point goes to, never whether it is
+    # evaluated: the direction memo alone sets this count
+    counts = []
+    monkeypatch.setattr(measure, "_bump", _counting(measure._bump, counts))
+    projector_axioms_check(FiberMeasureParams(a=1.0, m=0), DEFAULT)
+    assert 0 < sum(counts) <= 9_370_752
 
 
 def test_nested_projector_inner_work_per_direction(rule_sizes):
