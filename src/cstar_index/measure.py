@@ -29,11 +29,15 @@ evaluated, keyed on the computed w/|w| bit for bit, so it evaluates u once
 per bitwise-distinct direction over its whole life, not once per call; u
 must therefore be a pure function.  Points on one ray share that value only
 when their w/|w| round to the same bits, which along a ray they often do
-not.  The directions a call has not seen reach u in blocks of about
-_RING_BLOCK = 2**14 ring points, sized so that the complex temporaries of u
-and of the character sum stay in a 2 MiB L2 cache, and each direction's
-value is a sum over its own ring alone, so it does not depend on the block
-or on which other directions share its call.  Everything a calculus identity
+not, so a projector also takes its argument as rays: on_rays(c, t) gives
+the value at every t * c from the one direction c/|c|.  When u is itself a
+projector, the outer one hands it the rays of its ring that way, and the
+inner u runs once per ray, not once per rounded direction.  The directions
+a call has not seen reach u in blocks of about _RING_BLOCK = 2**14 ring
+points, sized so that the complex temporaries of u and of the character sum
+stay in a 2 MiB L2 cache, and each direction's value is a sum over its own
+ring alone, so it does not depend on the block or on which other directions
+share its call.  Everything a calculus identity
 promises about the projector (idempotency, equivariance, killing other
 monomials, unit total mass of the pulled-back measure) is rechecked here
 numerically rather than assumed.
@@ -426,18 +430,23 @@ def project_m(
     direction over the projector's whole life.  So u must be a pure
     function, and the memory a projector holds grows with the number of
     distinct directions queried (two complex numbers each).  Nothing is
-    shared between projectors.  The nested P(P u) feeds the inner projector
-    many radii on a few hundred rays call after call; w/|w| rounds
-    differently along a ray, so those rays give some thousands of distinct
-    directions, and the inner u runs once per direction, not once per node
-    or per call.  The directions no earlier call asked for go to u in
-    blocks of about _RING_BLOCK = 2**14 ring points (one direction's ring
-    where that is larger), so the complex temporaries of u and of the
-    character sum stay in a 2 MiB L2 cache, and composing the projector
-    with itself never holds all its inner values at once.  A direction's
-    value is the character sum of its own ring, summed over its radial
-    nodes alone, so it is a function of that direction only, bit for bit:
-    neither the block size nor the other directions of a call can change it.
+    shared between projectors.  The closure's on_rays(c, t) is the value
+    at every point t * c (radii t > 0, shaped t.shape + c.shape): |t c|^m
+    times the kept sum of the one direction c/|c|, where the points t * c
+    themselves would round to many directions along each ray.  When u has
+    that hook, as a projector does, the rule build and the rings pass it
+    the rays d * xi_g and the radial nodes apart, so the nested P(P u)
+    runs the inner u once per ray of the outer rings (one direction and
+    its angular nodes), not once per rounded direction; any other u is
+    called on the ring points d * (t xi_g).  The directions no earlier
+    call asked for go to u in blocks of about _RING_BLOCK = 2**14 ring
+    points (one direction's ring where that is larger), so the complex
+    temporaries of u and of the character sum stay in a 2 MiB L2 cache,
+    and composing the projector with itself never holds all its inner
+    values at once.  A direction's value is the character sum of its own
+    ring, summed over its radial nodes alone, so it is a function of that
+    direction only, bit for bit: neither the block size nor the other
+    directions of a call can change it.
     """
     lam = lambda_m(params, quad)
     m = params.m
@@ -446,16 +455,23 @@ def project_m(
     xi_phases = np.exp(1j * gammas)
     character = np.exp(-1j * m * gammas) / n_ang
     norm = 2.0 * math.pi / lam
+    u_on_rays = getattr(u, "on_rays", None)
 
     def _weight(t: np.ndarray) -> np.ndarray:
         return t**m * radial_density(t, params) * norm
 
+    def _u_on_rays(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # u at every point t * c, shaped t.shape + c.shape
+        if u_on_rays is not None:
+            return u_on_rays(c, t)
+        return np.asarray(u(np.multiply.outer(t, c)))
+
     def _profile(t: np.ndarray) -> np.ndarray:
-        return (np.asarray(u(np.multiply.outer(t, xi_phases))) @ character) * _weight(t)
+        return (_u_on_rays(xi_phases, t) @ character) * _weight(t)
 
     def _envelope(t: np.ndarray) -> np.ndarray:
         # magnitude profile of the same integrand with no phase cancellation
-        mags = np.abs(np.asarray(u(np.multiply.outer(t, xi_phases))))
+        mags = np.abs(_u_on_rays(xi_phases, t))
         return (mags @ np.full(n_ang, 1.0 / n_ang)) * _weight(t)
 
     edges = (0.0, 1.0, _SQRT2, 2 * _SQRT2)
@@ -471,14 +487,17 @@ def project_m(
     memo_dirs = np.empty(0, dtype=complex)
     memo_vals = np.empty(0, dtype=complex)
 
-    def projected(w):
+    def _ring_block(d: np.ndarray) -> np.ndarray:
+        # u on the rings of the directions d, shaped (d, radial, angular)
+        if u_on_rays is None:
+            return np.asarray(u(d[:, None, None] * ring))
+        # the rays d * xi_g go to u whole, so it never rederives a direction
+        return np.moveaxis(u_on_rays(np.multiply.outer(d, xi_phases), nodes), 0, 1)
+
+    def _direction_values(dirs: np.ndarray) -> np.ndarray:
+        # ring value of each direction, evaluating u only on unseen ones
         nonlocal memo_dirs, memo_vals
-        arr = np.asarray(w, dtype=complex)
-        flat = arr.ravel()
-        moduli = np.abs(flat)
-        if not np.all(np.isfinite(moduli) & (moduli > 0)):
-            raise ValueError("projector arguments must be nonzero and finite")
-        dirs, inverse = np.unique(flat / moduli, return_inverse=True)
+        dirs, inverse = np.unique(dirs, return_inverse=True)
         at = np.searchsorted(memo_dirs, dirs)
         known = at < memo_dirs.size
         known[known] = memo_dirs[at[known]] == dirs[known]
@@ -486,18 +505,44 @@ def project_m(
         if missing.size:
             vals = np.empty(missing.shape, dtype=complex)
             for i in range(0, missing.size, block):
-                pts = missing[i : i + block, None, None] * ring
                 # a sum per direction, not a matrix product over the block,
                 # so no block size changes the bits of a direction's value
-                vals[i : i + block] = ((np.asarray(u(pts)) @ character) * weights).sum(axis=-1)
+                ring_u = _ring_block(missing[i : i + block])
+                vals[i : i + block] = ((ring_u @ character) * weights).sum(axis=-1)
             memo_dirs = np.insert(memo_dirs, at[~known], missing)
             memo_vals = np.insert(memo_vals, at[~known], vals)
             at = np.searchsorted(memo_dirs, dirs)
-        out = memo_vals[at][inverse] * moduli**m
+        return memo_vals[at][inverse]
+
+    def _check(moduli: np.ndarray) -> None:
+        if not np.all(np.isfinite(moduli) & (moduli > 0)):
+            raise ValueError("projector arguments must be nonzero and finite")
+
+    def projected(w):
+        arr = np.asarray(w, dtype=complex)
+        flat = arr.ravel()
+        moduli = np.abs(flat)
+        _check(moduli)
+        out = _direction_values(flat / moduli) * moduli**m
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)
 
+    def on_rays(c, t):
+        """The projection at every point t * c, shaped t.shape + c.shape.
+
+        Equals projected(np.multiply.outer(t, c)) up to rounding, but every
+        point of a ray takes the ring value of the one direction c/|c|.
+        """
+        c = np.asarray(c, dtype=complex)
+        moduli = np.abs(c)
+        radii = np.multiply.outer(np.asarray(t, dtype=float), moduli)
+        _check(moduli)
+        _check(radii)
+        vals = _direction_values((c / moduli).ravel()).reshape(c.shape)
+        return vals * radii**m
+
+    projected.on_rays = on_rays
     return projected
 
 

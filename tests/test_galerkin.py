@@ -15,6 +15,7 @@ import sympy
 from scipy.integrate import quad
 
 from cstar_index import galerkin
+from cstar_index.analytic import analytic_index
 from cstar_index.galerkin import (
     BasisElementV,
     BasisElementW,
@@ -29,6 +30,7 @@ from cstar_index.galerkin import (
     laplacian_pairing_defect,
     supertrace,
 )
+from cstar_index.topological import verify_identity
 
 
 def test_problem_validation():
@@ -388,6 +390,26 @@ def test_supertrace_rejects_negative_or_nonfinite_time(t, monkeypatch):
     monkeypatch.setattr(galerkin, "_block_spectra", no_walk)
     with pytest.raises(ValueError, match="heat time must be nonnegative and finite"):
         supertrace(GalerkinProblem(d=2, K=2), (0.5, t))
+
+
+@pytest.mark.parametrize("K", [4, 8])
+def test_three_routes_agree_on_the_family_grid(K):
+    # every cell verify and sweep cover: the lattice count, the exact
+    # fixed-point sums, and the dbar block of weight m mod l in the
+    # degree-2m complex, by its exact rank and by its heat supertrace
+    failures = []
+    for l in range(2, 30):
+        for m in range(61):
+            want = analytic_index(l, m)
+            if verify_identity(l, m).topological_total != want:
+                failures.append((l, m, "point sums"))
+            block = GalerkinProblem(d=2 * m, K=K, equivariance=EquivariantRestriction(l, m % l))
+            if exact_index(block).index_exact != want:
+                failures.append((l, m, "exact index"))
+            samples = supertrace(block, galerkin._HEAT_TIMES).supertrace_samples
+            if any(abs(value - want) > 1e-8 for _, value in samples):
+                failures.append((l, m, "supertrace"))
+    assert not failures, failures[:10]
 
 
 def test_restricted_problem_with_empty_block():
