@@ -208,7 +208,6 @@ def cmd_kawasaki(args) -> int:
 
 def cmd_heat(args) -> int:
     parser = build_parser()  # its top-level usage reports argument conflicts
-    restriction = None
     d = args.d
     if (args.l is None) != (args.m is None):
         parser.error("--l and --m must be given together")
@@ -217,10 +216,11 @@ def cmd_heat(args) -> int:
             d = 2 * args.m
         elif d != 2 * args.m:
             parser.error(f"--d must equal 2*m = {2 * args.m} for the equivariant block")
-        restriction = EquivariantRestriction(l=args.l, label=args.m % args.l)
     if d is None:
         parser.error("--d is required unless --l/--m are given")
     try:
+        # the restriction refuses l < 2 and reduces the label mod l
+        restriction = None if args.l is None else EquivariantRestriction(l=args.l, label=args.m)
         problem = GalerkinProblem(d=d, K=args.K, equivariance=restriction)
         _check_heat_times(args.t)
     except ValueError as exc:

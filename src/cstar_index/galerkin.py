@@ -33,7 +33,10 @@ as the vector of Beta moments of which it is the Hankel matrix.  The exact
 rank sums block ranks over Q, each found by fraction-free elimination on
 Python ints; the float spectra come from one walk that factors,
 orthonormalizes and diagonalizes block by block.  `build_dbar_matrix` and
-`gram_matrices` only scatter the blocks into full matrices.
+`gram_matrices` only place the blocks along the diagonal of full matrices,
+in block order: weight ascending, then b (sections) or beta (forms)
+ascending.  Nothing in the program uses them; the tests use them as the
+dense oracle.
 """
 
 from __future__ import annotations
@@ -51,8 +54,6 @@ from .analytic import _check_family_args
 
 __all__ = [
     "NumericalBreakdown",
-    "BasisElementV",
-    "BasisElementW",
     "EquivariantRestriction",
     "GalerkinProblem",
     "SpectralReport",
@@ -81,30 +82,6 @@ class NumericalBreakdown(ArithmeticError):
             f"float Cholesky of the {size}x{size} {space} Gram block of weight "
             f"{weight} failed at leading minor {minor} (d={d}, K={K})"
         )
-
-
-@dataclass(frozen=True)
-class BasisElementV:
-    """Section basis monomial z^a zbar^b (1 + z zbar)^(-K)."""
-
-    a: int
-    b: int
-
-    @property
-    def weight(self) -> int:
-        return self.a - self.b
-
-
-@dataclass(frozen=True)
-class BasisElementW:
-    """Form basis monomial z^alpha zbar^beta (1 + z zbar)^(-K-1) dzbar."""
-
-    alpha: int
-    beta: int
-
-    @property
-    def weight(self) -> int:
-        return self.alpha - self.beta - 1
 
 
 @dataclass(frozen=True)
@@ -145,26 +122,6 @@ class GalerkinProblem:
             raise ValueError(
                 f"need d + K >= 0 for a nonempty section basis, got d={self.d}, K={self.K}"
             )
-
-    def basis_v(self) -> tuple[BasisElementV, ...]:
-        out = [
-            BasisElementV(a, b)
-            for a in range(self.d + self.K + 1)
-            for b in range(self.K + 1)
-        ]
-        if self.equivariance is not None:
-            out = [e for e in out if self.equivariance.keeps(e.weight)]
-        return tuple(out)
-
-    def basis_w(self) -> tuple[BasisElementW, ...]:
-        out = [
-            BasisElementW(alpha, beta)
-            for alpha in range(self.d + self.K + 2)
-            for beta in range(self.K)
-        ]
-        if self.equivariance is not None:
-            out = [e for e in out if self.equivariance.keeps(e.weight)]
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -226,41 +183,34 @@ def _weight_blocks(problem: GalerkinProblem):
         yield w, bs, betas, d_block, g_v, g_w
 
 
-def _assemble(row_basis, col_basis, blocks, zero) -> list[list]:
-    """Scatter (row elements, column elements, block) triples into one matrix."""
-    row_at = {e: i for i, e in enumerate(row_basis)}
-    col_at = {e: j for j, e in enumerate(col_basis)}
-    full = [[zero] * len(col_at) for _ in row_at]
-    for rows, cols, block in blocks:
-        for e, block_row in zip(rows, block):
-            for f, x in zip(cols, block_row):
-                full[row_at[e]][col_at[f]] = x
+def _block_diagonal(blocks, zero) -> list[list]:
+    """One matrix with the (rows, cols, block) triples along its diagonal;
+    each block takes len(cols) columns, a block with no rows too."""
+    blocks = list(blocks)
+    width = sum(len(cols) for _, cols, _ in blocks)
+    full, left = [], 0
+    for _, cols, block in blocks:
+        right = width - left - len(cols)
+        full += [[zero] * left + list(row) + [zero] * right for row in block]
+        left += len(cols)
     return full
 
 
-def _element_blocks(problem: GalerkinProblem):
-    """Yield (V elements, W elements, D-block, G_V, G_W), Gram blocks square."""
-    for w, bs, betas, d_block, g_v, g_w in _weight_blocks(problem):
-        bv = [BasisElementV(b + w, b) for b in bs]
-        bw = [BasisElementW(beta + w + 1, beta) for beta in betas]
-        g_v = [list(g_v[i : i + len(bv)]) for i in range(len(bv))]
-        g_w = [list(g_w[i : i + len(bw)]) for i in range(len(bw))]
-        yield bv, bw, d_block, g_v, g_w
-
-
 def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
-    """Integer matrix of D, rows indexed by the form basis, columns by sections."""
-    blocks = ((bw, bv, d_block) for bv, bw, d_block, _, _ in _element_blocks(problem))
-    return _assemble(problem.basis_w(), problem.basis_v(), blocks, 0)
+    """Integer matrix of D, rows the forms and columns the sections, both in
+    block order: weight ascending, then beta (rows) or b (columns) ascending."""
+    blocks = ((betas, bs, d_block) for _, bs, betas, d_block, _, _ in _weight_blocks(problem))
+    return _block_diagonal(blocks, 0)
 
 
 def gram_matrices(problem: GalerkinProblem):
-    """Exact Gram matrices (G_V, G_W) of the two bases, zero across weights."""
-    blocks = list(_element_blocks(problem))
-    bv, bw = problem.basis_v(), problem.basis_w()
-    g_v = _assemble(bv, bv, [(v, v, g) for v, _, _, g, _ in blocks], Fraction(0))
-    g_w = _assemble(bw, bw, [(w, w, g) for _, w, _, _, g in blocks], Fraction(0))
-    return g_v, g_w
+    """Exact Gram matrices (G_V, G_W) in the block order of build_dbar_matrix:
+    each diagonal block is the Hankel matrix of its moments, zero elsewhere."""
+    v_blocks, w_blocks = [], []
+    for _, bs, betas, _, g_v, g_w in _weight_blocks(problem):
+        v_blocks.append((bs, bs, [g_v[i : i + len(bs)] for i in range(len(bs))]))
+        w_blocks.append((betas, betas, [g_w[i : i + len(betas)] for i in range(len(betas))]))
+    return _block_diagonal(v_blocks, Fraction(0)), _block_diagonal(w_blocks, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

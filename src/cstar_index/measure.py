@@ -519,14 +519,9 @@ def project_m(
             raise ValueError("projector arguments must be nonzero and finite")
 
     def projected(w):
-        arr = np.asarray(w, dtype=complex)
-        flat = arr.ravel()
-        moduli = np.abs(flat)
-        _check(moduli)
-        out = _direction_values(flat / moduli) * moduli**m
-        if arr.ndim == 0:
-            return complex(out[0])
-        return out.reshape(arr.shape)
+        # the one ray of each point w, at radius 1: 1.0 * |w| is exact
+        out = on_rays(w, 1.0)
+        return complex(out) if np.ndim(w) == 0 else out
 
     def on_rays(c, t):
         """The projection at every point t * c, shaped t.shape + c.shape.

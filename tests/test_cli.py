@@ -194,6 +194,31 @@ def test_heat_numerical_breakdown_exit_code(capsys, monkeypatch):
     assert "d=2, K=1" in err
 
 
+def test_heat_real_degree_cliff(capsys):
+    # no patching: at d=200 the float Cholesky of the Gram blocks runs out of
+    # precision (today on the 11x11 section block of weight 74); either that
+    # is a typed exit 5, or a sounder method gives an accurate exit 0
+    code, out, err = run_cli(capsys, ["heat", "--d", "200", "--K", "10", "--json"])
+    if code == 5:
+        assert out == ""
+        assert err.startswith("error: numerical breakdown: ")
+        assert err.count("\n") == 1
+    else:
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["index_exact"] == 201
+        assert doc["max_supertrace_deviation"] < 1e-8
+        assert doc["pairing_defect"] < 1e-10
+
+
+@pytest.mark.parametrize("l", ["1", "0", "-2"])
+def test_heat_rejects_isotropy_order_below_two(capsys, l):
+    code, out, err = run_cli(capsys, ["heat", "--K", "3", "--l", l, "--m", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: l must be an integer >= 2, got {l}\n"
+
+
 def test_verify_order_past_the_guard_exit_code(capsys, monkeypatch):
     # an order whose point sums cannot be exact is refused with exit 5,
     # before Phi_N is built, not ended in an OverflowError traceback

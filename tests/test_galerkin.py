@@ -17,8 +17,6 @@ from scipy.integrate import quad
 from cstar_index import galerkin
 from cstar_index.analytic import analytic_index
 from cstar_index.galerkin import (
-    BasisElementV,
-    BasisElementW,
     EquivariantRestriction,
     GalerkinProblem,
     NumericalBreakdown,
@@ -33,6 +31,16 @@ from cstar_index.galerkin import (
 from cstar_index.topological import verify_identity
 
 
+def _elements(problem):
+    """The (a, b) sections and (alpha, beta) forms in block order, read from
+    the index ranges that `_weight_blocks` yields."""
+    sections, forms = [], []
+    for w, bs, betas, *_ in galerkin._weight_blocks(problem):
+        sections += [(b + w, b) for b in bs]
+        forms += [(beta + w + 1, beta) for beta in betas]
+    return sections, forms
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         GalerkinProblem(d=2, K=0)
@@ -43,10 +51,44 @@ def test_problem_validation():
 
 def test_basis_dimensions_and_weights():
     p = GalerkinProblem(d=2, K=3)
-    assert len(p.basis_v()) == (2 + 3 + 1) * (3 + 1)
-    assert len(p.basis_w()) == (2 + 3 + 2) * 3
-    assert BasisElementV(a=3, b=1).weight == 2
-    assert BasisElementW(alpha=3, beta=1).weight == 1
+    sections, forms = _elements(p)
+    assert len(sections) == (2 + 3 + 1) * (3 + 1)
+    assert len(forms) == (2 + 3 + 2) * 3
+    # D keeps the weight: a - b on sections, alpha - beta - 1 on forms
+    mat = build_dbar_matrix(p)
+    for (alpha, beta), row in zip(forms, mat):
+        for (a, b), x in zip(sections, row):
+            assert x == 0 or a - b == alpha - beta - 1
+
+
+@pytest.mark.parametrize(
+    "d, K, restriction",
+    [
+        (0, 1, None), (2, 3, None), (-2, 2, None), (-1, 4, None), (6, 5, None),
+        (8, 4, EquivariantRestriction(l=3, label=2)),
+        (4, 2, EquivariantRestriction(l=2, label=0)),
+        (0, 1, EquivariantRestriction(l=5, label=2)),
+        (-3, 5, EquivariantRestriction(l=4, label=3)),
+    ],
+)
+def test_blocks_partition_the_bases(d, K, restriction):
+    # the blocks hold every section 0 <= a <= d+K, 0 <= b <= K and every form
+    # 0 <= alpha <= d+K+1, 0 <= beta < K of a kept weight, each once, in
+    # block order: weight ascending, then b or beta ascending
+    p = GalerkinProblem(d=d, K=K, equivariance=restriction)
+    keeps = (lambda w: True) if restriction is None else restriction.keeps
+    sections, forms = _elements(p)
+    want_v = {(a, b) for a in range(d + K + 1) for b in range(K + 1) if keeps(a - b)}
+    want_w = {(al, be) for al in range(d + K + 2) for be in range(K) if keeps(al - be - 1)}
+    assert len(sections) == len(set(sections)) and set(sections) == want_v
+    assert len(forms) == len(set(forms)) and set(forms) == want_w
+    assert sections == sorted(sections, key=lambda e: (e[0] - e[1], e[1]))
+    assert forms == sorted(forms, key=lambda f: (f[0] - f[1] - 1, f[1]))
+    mat = build_dbar_matrix(p)
+    g_v, g_w = gram_matrices(p)
+    assert [len(row) for row in mat] == [len(sections)] * len(forms)
+    assert [len(row) for row in g_v] == [len(sections)] * len(sections)
+    assert [len(row) for row in g_w] == [len(forms)] * len(forms)
 
 
 def test_dbar_matrix_against_symbolic_differentiation():
@@ -58,20 +100,19 @@ def test_dbar_matrix_against_symbolic_differentiation():
     ]
     for p in problems:
         d, K = p.d, p.K
-        bv, bw = p.basis_v(), p.basis_w()
+        sections, forms = _elements(p)
         mat = build_dbar_matrix(p)
-        w_index = {(e.alpha, e.beta): i for i, e in enumerate(bw)}
-        for col, e in enumerate(bv):
-            v = z**e.a * zb**e.b * (1 + z * zb) ** (-K)
+        for col, (a, b) in enumerate(sections):
+            v = z**a * zb**b * (1 + z * zb) ** (-K)
             # D v, re-expanded over the form basis denominator
             poly = sympy.cancel(sympy.diff(v, zb) * (1 + z * zb) ** (K + 1))
             poly = sympy.Poly(sympy.expand(poly), z, zb)
             seen = {}
             for (ea, eb), coeff in zip(poly.monoms(), poly.coeffs()):
                 seen[(ea, eb)] = int(coeff)
-            for row, f in enumerate(bw):
-                expected = seen.pop((f.alpha, f.beta), 0)
-                assert mat[row][col] == expected, (d, K, e, f)
+            for row, f in enumerate(forms):
+                expected = seen.pop(f, 0)
+                assert mat[row][col] == expected, (d, K, (a, b), f)
             assert not seen  # nothing may fall outside the (restricted) form basis
 
 
@@ -79,15 +120,15 @@ def test_beta_moment_against_sympy_and_quad():
     t = sympy.symbols("t", positive=True)
     g_v, _ = gram_matrices(GalerkinProblem(d=1, K=2))
     # independently recompute a few entries; s = 2K + d + 2 = 7
-    p_obj = GalerkinProblem(d=1, K=2)
-    bv = p_obj.basis_v()
-    for i in (0, 3, 7):
-        for j in (0, 3, 7):
-            e, f = bv[i], bv[j]
-            if e.weight != f.weight:
+    sections, _ = _elements(GalerkinProblem(d=1, K=2))
+    at = [sections.index(e) for e in ((0, 0), (1, 0), (2, 1))]
+    for i in at:
+        for j in at:
+            (a, b), (a2, b2) = sections[i], sections[j]
+            if a - b != a2 - b2:
                 assert g_v[i][j] == 0
                 continue
-            power = e.a + f.b
+            power = a + b2
             exact = sympy.integrate(t**power * (1 + t) ** (-7), (t, 0, sympy.oo))
             assert Fraction(int(sympy.nsimplify(exact).p), int(sympy.nsimplify(exact).q)) == g_v[i][j]
             approx = quad(lambda x: x**power * (1 + x) ** (-7.0), 0, np.inf)[0]
@@ -99,19 +140,20 @@ def test_gram_entry_matches_polar_double_integral():
     d, K = 2, 2
     p = GalerkinProblem(d=d, K=K)
     g_v, g_w = gram_matrices(p)
-    bv, bw = p.basis_v(), p.basis_w()
+    bv, bw = _elements(p)
     s = 2 * K + d + 2
-    i, j = 5, 8
-    assert bv[i].weight == bv[j].weight or g_v[i][j] == 0
-    pairs = [(i2, j2) for i2 in range(len(bv)) for j2 in range(len(bv))
-             if bv[i2].weight == bv[j2].weight][:6]
+    weight = [a - b for a, b in bv]
+    i, j = bv.index((1, 2)), bv.index((2, 2))
+    assert weight[i] == weight[j] or g_v[i][j] == 0
+    pairs =[(i2, j2) for i2 in range(len(bv)) for j2 in range(len(bv))
+             if weight[i2] == weight[j2]][:6]
     for i2, j2 in pairs:
-        power = bv[i2].a + bv[j2].b
+        power = bv[i2][0] + bv[j2][1]
         radial = quad(lambda r: 2 * r ** (2 * power + 1) * (1 + r * r) ** (-s), 0, np.inf)[0]
         assert abs(radial - float(g_v[i2][j2])) < 1e-9
     # same exponent s shows up in the form Gram
     for i2 in range(min(4, len(bw))):
-        power = bw[i2].alpha + bw[i2].beta
+        power = bw[i2][0] + bw[i2][1]
         radial = quad(lambda r: 2 * r ** (2 * power + 1) * (1 + r * r) ** (-s), 0, np.inf)[0]
         assert abs(radial - float(g_w[i2][i2])) < 1e-9
 
@@ -124,8 +166,9 @@ def test_gram_matrices_match_pairwise_moments():
     for p in problems:
         s = 2 * p.K + p.d + 2
         g_v, g_w = gram_matrices(p)
-        v_pairs = [(e.a, e.b, e.weight) for e in p.basis_v()]
-        w_pairs = [(f.alpha, f.beta, f.weight) for f in p.basis_w()]
+        sections, forms = _elements(p)
+        v_pairs = [(a, b, a - b) for a, b in sections]
+        w_pairs = [(alpha, beta, alpha - beta - 1) for alpha, beta in forms]
         for gram, pairs in ((g_v, v_pairs), (g_w, w_pairs)):
             assert len(gram) == len(pairs)
             for row, (a, _, weight) in zip(gram, pairs):
@@ -148,11 +191,11 @@ def test_holomorphic_kernel_containment():
     # z^a = sum_j binom(K, j) v_{a+j, j} must be annihilated exactly
     for d, K in [(0, 1), (3, 2), (5, 4)]:
         p = GalerkinProblem(d=d, K=K)
-        bv = p.basis_v()
-        v_index = {(e.a, e.b): i for i, e in enumerate(bv)}
+        sections, _ = _elements(p)
+        v_index = {e: i for i, e in enumerate(sections)}
         mat = build_dbar_matrix(p)
         for a in range(d + 1):
-            vec = [0] * len(bv)
+            vec = [0] * len(sections)
             for j in range(K + 1):
                 vec[v_index[(a + j, j)]] = comb(K, j)
             image = [sum(m * c for m, c in zip(row, vec)) for row in mat]
@@ -355,12 +398,11 @@ def test_spectra_shapes_and_zero_modes():
 
 def test_equivariant_restriction_blocks():
     p = GalerkinProblem(d=4, K=2, equivariance=EquivariantRestriction(l=2, label=0))
-    for e in p.basis_v():
-        assert e.weight % 2 == 0
-    for e in p.basis_w():
-        assert e.weight % 2 == 0
+    sections, forms = _elements(p)
+    assert all((a - b) % 2 == 0 for a, b in sections)
+    assert all((alpha - beta - 1) % 2 == 0 for alpha, beta in forms)
     mat = build_dbar_matrix(p)  # must not leak between blocks
-    assert len(mat) == len(p.basis_w())
+    assert len(mat) == len(forms)
 
 
 def test_equivariant_block_index_known_values():
