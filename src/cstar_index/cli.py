@@ -11,13 +11,13 @@ Subcommands:
 Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
 validation errors (a negative or non-finite heat time among them), 3
 unwritable output path, 4 divergent measure parameters, 5 numerical
-breakdown (the float Gram factorization in heat failed, a measure
-quadrature did not converge within its budget, or an isotropy order is too
-large for exact point sums).  Each subcommand returns 0 to 3 itself;
-codes 4 and 5 come from one table, `_ERROR_EXITS`, through which
-`main` reports the typed numerical errors of every subcommand.  Any other
-error, a plain OverflowError included, is a fault of the program and ends in
-a traceback with Python's exit status 1.
+breakdown (the float Gram factorization in heat failed, a heat supertrace
+sample is not finite, a measure quadrature did not converge within its
+budget, or an isotropy order is too large for exact point sums).  Each
+subcommand returns 0 to 3 itself; codes 4 and 5 come from one table,
+`_ERROR_EXITS`, through which `main` reports the typed numerical errors of
+every subcommand.  Any other error, a plain OverflowError included, is a
+fault of the program and ends in a traceback with Python's exit status 1.
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -35,11 +35,18 @@ import sys
 from functools import lru_cache
 
 from .analytic import _check_family_args, kappa
-from .exact import OrderTooLargeError, format_rational, lefschetz_point_sum
+from .exact import (
+    OrderTooLargeError,
+    _order_point_sums,
+    _ratio_text,
+    format_rational,
+    lefschetz_point_sum,
+)
 from .galerkin import (
     _HEAT_TIMES,
     EquivariantRestriction,
     GalerkinProblem,
+    NonFiniteSupertrace,
     NumericalBreakdown,
     _check_heat_times,
     supertrace,
@@ -55,7 +62,13 @@ from .measure import (
     unity_check,
 )
 from .model import SCHEMA_VERSION, ValidationError, kawasaki_from_json_dict
-from .topological import hrr_term, kawasaki_index, mu_bruteforce, mu_closed, verify_identity
+from .topological import (
+    _hrr_ratio,
+    _mu_closed_ratio,
+    _reduced,
+    kawasaki_index,
+    verify_identity,
+)
 
 __all__ = [
     "cmd_verify",
@@ -104,28 +117,38 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_row(l: int, m: int) -> dict:
-    """One output row, keyed and ordered by column, rationals as p/q strings."""
-    k = kappa(l, m)
-    hrr = hrr_term(l, m)
-    mu_c = mu_closed(l, m)
-    mu_b = mu_bruteforce(l, m)
-    total = hrr + 2 * mu_b
-    return {
-        "l": l,
-        "m": m,
-        "kappa": k,
-        "hrr": format_rational(hrr),
-        "mu_closed": format_rational(mu_c),
-        "mu_bruteforce": format_rational(mu_b),
-        "total": format_rational(total),
-        "agree": (mu_c == mu_b) and (total == k),
-    }
-
-
 def sweep_rows(l_max: int, m_max: int) -> list[dict]:
-    """All grid rows, l-major then m-minor."""
-    return [_sweep_row(l, m) for l in range(2, l_max + 1) for m in range(0, m_max + 1)]
+    """All grid rows, l-major then m-minor, keyed and ordered by column.
+
+    The point sums of an order come at once from one enumerated histogram,
+    and each is rendered once per residue.  kappa, the smooth term and the
+    closed form are evaluated at every (l, m), as reduced integer pairs, so
+    each rational is rendered as a p/q string without a Fraction.
+    """
+    rows = []
+    for l in range(2, l_max + 1):
+        sums = _order_point_sums(l, min(l, m_max + 1))
+        texts = [format_rational(mu) for mu in sums]
+        for m in range(m_max + 1):
+            b = m % l
+            p, q = sums[b].numerator, sums[b].denominator
+            k = kappa(l, m)
+            hrr = _hrr_ratio(l, m)
+            mu_c = _mu_closed_ratio(l, m)
+            total = _reduced(hrr[0] * q + 2 * p * hrr[1], hrr[1] * q)  # hrr + 2 mu_b
+            rows.append(
+                {
+                    "l": l,
+                    "m": m,
+                    "kappa": k,
+                    "hrr": _ratio_text(*hrr),
+                    "mu_closed": _ratio_text(*mu_c),
+                    "mu_bruteforce": texts[b],
+                    "total": _ratio_text(*total),
+                    "agree": mu_c == (p, q) and total == (k, 1),
+                }
+            )
+    return rows
 
 
 def render_sweep(rows: list[dict], fmt: str) -> str:
@@ -346,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERROR_EXITS = {
     DivergenceDetected: (4, "divergent measure"),
     NumericalBreakdown: (5, "numerical breakdown"),
+    NonFiniteSupertrace: (5, "numerical breakdown"),
     QuadratureError: (5, "numerical breakdown"),
     OrderTooLargeError: (5, "numerical breakdown"),
 }

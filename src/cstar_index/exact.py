@@ -13,8 +13,14 @@ polynomial Phi_N to its coefficients in the power basis 1, zeta, ...,
 zeta^(phi(N)-1): first folded modulo a multiple of Phi_N in one int64
 subtraction, then divided by Phi_N with the same integer long division that
 builds Phi_N as Phi_M(x^p) / Phi_M(x), p the largest prime factor of N and
-M = N/p (no division when p divides M).  Memory is O(N) beyond one
-histogram block, and no table is kept per order besides Phi_N itself.
+M = N/p (no division when p divides M).  A single sum needs O(N) memory
+beyond one histogram block.  A sweep over every residue b of an order N
+(normal weight 1) counts once how often each product k j hits each exponent
+and reads every residue's histogram off that N x N count matrix in O(N^2),
+instead of one (k, i) table per residue.  That route is capped at
+N^2 <= _HIST_BLOCK entries (N <= 1024), where it needs a few block-sized
+arrays; larger orders are summed one residue at a time.  Either way no
+table is kept per order besides Phi_N itself.
 Phi_N is irreducible over Q, so that basis is linearly independent over Q:
 the sum is rational exactly when every integer coefficient beyond the
 constant term vanishes, and the constant term then gives its value.
@@ -67,12 +73,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q" ("p" when the denominator is 1)."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def format_rational(q: Fraction | int) -> str:
+    """Render a Fraction or an int as "p/q" ("p" when the denominator is 1)."""
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """Render a reduced pair with den > 0 as "num/den" ("num" when den is 1)."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +184,55 @@ def _point_sum(n: int, a: int, b: int) -> Fraction:
             f"point sum ({n}, {a}, {b}) has nonzero higher coefficients: {list(coeffs)}"
         )
     return Fraction(-coeffs[0], n * n)
+
+
+def _order_point_sums(n: int, count: int) -> tuple[Fraction, ...]:
+    """_point_sum(n, 1, b) for the residues b < count of an order n >= 2.
+
+    With j = b - i the histogram of residue b is sum_j C[e, j] ((b-j mod n) + 1),
+    where C[e, j] = #{k in 1..n-1 : k j = e mod n} does not depend on b.
+    Splitting the weight at j <= b gives, for every residue at once,
+
+        H[e, b] = (b + 1) sum_j C[e, j] - sum_j j C[e, j] + n sum_{j>b} C[e, j],
+
+    O(n^2) from one C counted off the n(n-1) products k j, instead of one
+    (k, i) table per residue.  Entries stay below 2 n^3, exact in int64.
+    Each column is folded like _point_sum's histogram, long-divided by Phi_n
+    on Python ints and certified rational on its own.  C and H are n x n, so
+    only orders with n^2 <= _HIST_BLOCK take this route, in a few
+    block-sized arrays; larger orders return _point_sum per residue.
+    """
+    if n * n > _HIST_BLOCK:
+        return tuple(_point_sum(n, 1, b) for b in range(count))
+    j = np.arange(n)
+    cells = np.outer(np.arange(1, n), j)
+    cells %= n  # e = k j mod n
+    cells *= n
+    cells += j
+    counts = np.bincount(cells.ravel(), minlength=n * n).reshape(n, n)
+    del cells
+    totals = counts.sum(axis=1)
+    moments = counts @ j
+    np.cumsum(counts, axis=1, out=counts)  # sum_{j'<=j} C[e, j']
+    counts *= n
+    # H transposed, one residue per row: n sum_{j>b} C = n totals - n prefix
+    hist = np.outer(j[:count] + (n + 1), totals)
+    hist -= moments
+    hist -= counts[:, :count].T
+    del counts
+    q = next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
+    blocks = hist.reshape(count, q, n // q)
+    folded = (blocks[:, :-1] - blocks[:, -1:]).reshape(count, -1)
+    phi = cyclotomic_polynomial(n)
+    sums = []
+    for b, row in enumerate(folded):
+        _, coeffs = _poly_divmod(row.tolist(), phi)
+        if any(coeffs[1:]):
+            raise NotRationalError(
+                f"point sum ({n}, 1, {b}) has nonzero higher coefficients: {list(coeffs)}"
+            )
+        sums.append(Fraction(-coeffs[0], n * n))
+    return tuple(sums)
 
 
 def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:

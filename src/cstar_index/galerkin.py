@@ -54,6 +54,7 @@ from .analytic import _check_family_args
 
 __all__ = [
     "NumericalBreakdown",
+    "NonFiniteSupertrace",
     "EquivariantRestriction",
     "GalerkinProblem",
     "SpectralReport",
@@ -82,6 +83,22 @@ class NumericalBreakdown(ArithmeticError):
             f"float Cholesky of the {size}x{size} {space} Gram block of weight "
             f"{weight} failed at leading minor {minor} (d={d}, K={K})"
         )
+
+
+class NonFiniteSupertrace(ArithmeticError):
+    """A heat supertrace sample overflowed to infinity or NaN.
+
+    Rounding can leave a Laplacian eigenvalue that is zero in exact
+    arithmetic slightly negative, and at a large enough heat time its
+    exp(-t * lambda) overflows.
+    """
+
+    def __init__(self, d: int, K: int, t: float, value: float) -> None:
+        self.d = d
+        self.K = K
+        self.t = t
+        self.value = value
+        super().__init__(f"heat supertrace at t={t:g} is {value} (d={d}, K={K})")
 
 
 @dataclass(frozen=True)
@@ -343,14 +360,18 @@ def supertrace(
 
     str(t) = tr exp(-t D~* D~) - tr exp(-t D~ D~*), evaluated from the two
     independently diagonalized Laplacians.  Zero modes contribute 1 each, so
-    every sample should reproduce ker - coker regardless of t.
+    every sample should reproduce ker - coker regardless of t.  A sample that
+    is not finite raises NonFiniteSupertrace.
     """
     _check_heat_times(t_values)
     rank, evals_v, evals_w, sigma = _block_spectra(problem)
-    samples = [
-        (float(t), float(np.sum(np.exp(-t * evals_v)) - np.sum(np.exp(-t * evals_w))))
-        for t in t_values
-    ]
+    samples = []
+    for t in t_values:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.sum(np.exp(-t * evals_v)) - np.sum(np.exp(-t * evals_w)))
+        if not isfinite(value):
+            raise NonFiniteSupertrace(problem.d, problem.K, float(t), value)
+        samples.append((float(t), value))
     # the exact rank says how many eigenvalues of each Laplacian are nonzero;
     # those tails must agree with each other and with sigma^2
     if rank == 0:

@@ -11,6 +11,7 @@ integer division, and the identity checks play them against each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .analytic import _check_family_args, analytic_index
 from .exact import Rational, lefschetz_point_sum
@@ -25,20 +26,35 @@ __all__ = [
 ]
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0, by one gcd."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _hrr_ratio(l: int, m: int) -> tuple[int, int]:
+    """(2m + 1)/l as a reduced (numerator, denominator) pair; no argument check."""
+    return _reduced(2 * m + 1, l)
+
+
+def _mu_closed_ratio(l: int, m: int) -> tuple[int, int]:
+    """(-m + (l-1)/2 + l*floor(m/l)) / l as a reduced pair; no argument check."""
+    return _reduced(2 * (l * (m // l) - m) + (l - 1), 2 * l)
+
+
 def hrr_term(l: int, m: int) -> Rational:
     """Smooth Riemann-Roch contribution (2m + 1)/l of the quotient curve."""
     _check_family_args(l, m)
-    return Fraction(2 * m + 1, l)
+    return Fraction(*_hrr_ratio(l, m))
 
 
 def mu_closed(l: int, m: int) -> Rational:
     """Point correction in closed form: (1/l) * (-m + (l-1)/2 + l*floor(m/l)).
 
-    Single Fraction construction, no field arithmetic involved.
+    Integer division only, no field arithmetic involved.
     """
     _check_family_args(l, m)
-    q = m // l
-    return Fraction(2 * (l * q - m) + (l - 1), 2 * l)
+    return Fraction(*_mu_closed_ratio(l, m))
 
 
 def mu_bruteforce(l: int, m: int) -> Rational:

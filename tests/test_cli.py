@@ -14,8 +14,11 @@ import pytest
 
 import cstar_index
 from cstar_index import exact, galerkin
-from cstar_index.cli import build_parser, main
+from cstar_index.analytic import kappa
+from cstar_index.cli import build_parser, main, render_sweep, sweep_rows
+from cstar_index.exact import format_rational
 from cstar_index.model import example_to_kawasaki, kawasaki_to_json_dict
+from cstar_index.topological import hrr_term, mu_bruteforce, mu_closed
 
 
 def run_cli(capsys, argv):
@@ -96,6 +99,44 @@ def test_sweep_json(capsys):
     assert first["hrr"] == "1/2"
     assert first["mu_closed"] == "1/4"
     assert first["total"] == "1"
+
+
+def _sweep_row(l, m):
+    """One sweep row by the single-sum route, in Fraction arithmetic (the oracle)."""
+    k = kappa(l, m)
+    hrr = hrr_term(l, m)
+    mu_c = mu_closed(l, m)
+    mu_b = mu_bruteforce(l, m)
+    total = hrr + 2 * mu_b
+    return {
+        "l": l,
+        "m": m,
+        "kappa": k,
+        "hrr": format_rational(hrr),
+        "mu_closed": format_rational(mu_c),
+        "mu_bruteforce": format_rational(mu_b),
+        "total": format_rational(total),
+        "agree": (mu_c == mu_b) and (total == k),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_matches_single_sum_rows(capsys, fmt):
+    # the rows built from every residue of an order at once, in integer
+    # pairs, print byte for byte what the single sums in Fractions give
+    rows = [_sweep_row(l, m) for l in range(2, 41) for m in range(91)]
+    code, out, err = run_cli(capsys, ["sweep", "--l-max", "40", "--m-max", "90", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == render_sweep(rows, fmt)
+
+
+def test_sweep_point_sums_match_verify(capsys):
+    rows = sweep_rows(12, 30)
+    for row in rows:
+        code, out, _ = run_cli(capsys, ["verify", "--l", str(row["l"]), "--m", str(row["m"]), "--json"])
+        assert code == 0
+        points = json.loads(out)["topological_points"]
+        assert points == [row["mu_bruteforce"]] * 2, (row["l"], row["m"])
 
 
 def test_sweep_to_file_and_unwritable_path(tmp_path, capsys):
@@ -211,6 +252,18 @@ def test_heat_real_degree_cliff(capsys):
         assert doc["pairing_defect"] < 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+def test_heat_nonfinite_supertrace_exit_code(capsys):
+    # rounding leaves a near-zero Laplacian eigenvalue slightly negative, and
+    # at t = 1e20 its exp(-t * lambda) overflows: no Infinity may reach the
+    # JSON, and no RuntimeWarning may reach stderr
+    code, out, err = run_cli(capsys, ["heat", "--d", "3", "--K", "5", "--t", "1e17", "1e20", "--json"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: numerical breakdown: heat supertrace at t=1e+20 is ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("l", ["1", "0", "-2"])
 def test_heat_rejects_isotropy_order_below_two(capsys, l):
     code, out, err = run_cli(capsys, ["heat", "--K", "3", "--l", l, "--m", "0"])
@@ -278,7 +331,7 @@ def test_heat_rejects_nonfinite_time(capsys, monkeypatch, t):
     "argv, module, name",
     [
         (["heat", "--d", "2", "--K", "1"], "galerkin", "_beta_moment"),
-        (["sweep", "--l-max", "3", "--m-max", "1"], "cli", "mu_closed"),
+        (["sweep", "--l-max", "3", "--m-max", "1"], "cli", "_mu_closed_ratio"),
     ],
 )
 def test_program_fault_is_not_a_bad_argument(argv, module, name):

@@ -14,7 +14,9 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 import sympy
 
@@ -57,6 +59,10 @@ def test_rational_string_roundtrip():
     assert parse_rational(" 0 ") == 0
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(-8, 2)) == "-4"
+    assert format_rational(Fraction(-3, 4)) == "-3/4"
+    for k in (0, 5, -12, 10**30):
+        assert format_rational(k) == str(k)
+        assert parse_rational(format_rational(k)) == k
     with pytest.raises(ValueError):
         parse_rational("0.5")
     with pytest.raises(ValueError):
@@ -258,7 +264,16 @@ def test_lefschetz_point_sum_matches_field_oracle():
                 assert lefschetz_point_sum(n, a, b) == _lefschetz_field_oracle(n, a, b), (n, a, b)
 
 
-def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch):
+# the two routes to the point sums of isotropy order n and normal weight 1:
+# one residue at a time, and every residue below a count from one histogram
+_ROUTES = {
+    "single": lambda n: lefschetz_point_sum(n, 1, 0),
+    "order": lambda n: exact._order_point_sums(n, n),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch, route):
     # Phi_12 forged to read 1 + x - x^2 + x^4: the remainder modulo it keeps
     # nonzero higher coefficients, which the integer certificate must reject.
     # The order is composite because a prime order's fold needs no division,
@@ -268,12 +283,13 @@ def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch):
     exact._point_sum.cache_clear()
     try:
         with pytest.raises(NotRationalError):
-            lefschetz_point_sum(n, 1, 0)
+            _ROUTES[route](n)
     finally:
         exact._point_sum.cache_clear()
 
 
-def test_order_past_the_guard_raises_before_building(monkeypatch):
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_order_past_the_guard_raises_before_building(monkeypatch, route):
     # 2**18 + 1 is the least order whose histogram weight (n-1)n(n+1)/2
     # reaches 2**53, so its point sums cannot be exact; that must be known
     # before Phi_n or the histogram is built
@@ -285,7 +301,7 @@ def test_order_past_the_guard_raises_before_building(monkeypatch):
 
     monkeypatch.setattr(exact, "cyclotomic_polynomial", no_build)
     with pytest.raises(OverflowError, match="too large") as exc:
-        lefschetz_point_sum(n, 1, 0)
+        _ROUTES[route](n)
     assert isinstance(exc.value, exact.OrderTooLargeError)
 
 
@@ -361,4 +377,91 @@ def test_cold_point_sum_memory_is_bounded_by_histogram_blocks():
     finally:
         tracemalloc.stop()
     assert value == Fraction(n - 1, 2 * n)
+    assert peak <= 4 * 8 * exact._HIST_BLOCK
+
+
+def _single_sums(n, residues):
+    return tuple(exact._point_sum.__wrapped__(n, 1, b) for b in residues)
+
+
+def test_order_point_sums_match_single_sums():
+    # every residue of every small order, and of orders whose fold and
+    # division take many steps (105, 210) or none (the prime power 256)
+    for n in [*range(2, 120), 105, 210, 256]:
+        assert exact._order_point_sums(n, n) == _single_sums(n, range(n)), n
+
+
+def test_order_point_sums_at_the_largest_order():
+    # the largest order whose n x n count matrix fits one histogram block;
+    # a single sum there costs about 7 ms, so every 31st residue (and the
+    # last) is checked against it, and every residue against the closed form
+    n = isqrt(exact._HIST_BLOCK)
+    assert n * n <= exact._HIST_BLOCK < (n + 1) ** 2
+    sums = exact._order_point_sums(n, n)
+    assert len(sums) == n
+    sample = [*range(0, n, 31), n - 1]
+    assert tuple(sums[b] for b in sample) == _single_sums(n, sample)
+    assert all(sums[b] == mu_closed(n, b) for b in range(n))
+
+
+def test_order_point_sums_first_residues():
+    for n, count in ((2, 1), (12, 5), (30, 29), (97, 40)):
+        assert exact._order_point_sums(n, count) == exact._order_point_sums(n, n)[:count]
+
+
+def test_order_counts_come_from_the_products(monkeypatch):
+    # C[e, j] is counted off the (n-1) n products k j in one bincount, never
+    # filled from gcd(j, n): that fill is the retired collapse of the class
+    # sums into mu_closed
+    def no_gcd(*args):
+        raise AssertionError("the order route called a gcd")
+
+    counted = []
+    bincount = np.bincount
+
+    def spy(cells, *args, **kwargs):
+        counted.append(cells.size)
+        return bincount(cells, *args, **kwargs)
+
+    n = 60
+    want = _single_sums(n, range(n))
+    monkeypatch.setattr(exact, "gcd", no_gcd)
+    monkeypatch.setattr(np, "gcd", no_gcd)
+    monkeypatch.setattr(np, "bincount", spy)
+    assert exact._order_point_sums(n, n) == want
+    assert counted == [(n - 1) * n]
+
+
+def test_order_point_sums_past_the_block_go_one_by_one(monkeypatch):
+    # 1031 is past the largest order of the histogram route: its sums come
+    # from _point_sum, residue by residue, and equal the single sums
+    n = 1031
+    assert n * n > exact._HIST_BLOCK
+    want = _single_sums(n, range(3))
+    calls = []
+    single = exact._point_sum
+
+    def recorded(*key):
+        calls.append(key)
+        return single(*key)
+
+    monkeypatch.setattr(exact, "_point_sum", recorded)
+    sums = exact._order_point_sums(n, 3)
+    assert calls == [(n, 1, 0), (n, 1, 1), (n, 1, 2)]
+    assert sums == want
+    assert sums == tuple(mu_closed(n, b) for b in range(3))
+
+
+def test_order_point_sums_memory_is_bounded_by_histogram_blocks():
+    # at the largest order the count matrix and the n x n histogram are one
+    # block each; the columns are reduced one at a time
+    n = isqrt(exact._HIST_BLOCK)
+    exact.cyclotomic_polynomial(n)  # cached, and not part of the sums' cost
+    tracemalloc.start()
+    try:
+        sums = exact._order_point_sums(n, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums[0] == Fraction(n - 1, 2 * n)
     assert peak <= 4 * 8 * exact._HIST_BLOCK

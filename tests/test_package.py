@@ -14,7 +14,8 @@ ROOT_NAMES = {
     "kawasaki_to_json_dict", "kawasaki_from_json_dict",
     "invariant_monomial_count", "kappa", "h1_equivariant", "analytic_index",
     "hrr_term", "mu_closed", "mu_bruteforce", "kawasaki_index", "verify_identity",
-    "EquivariantRestriction", "GalerkinProblem", "NumericalBreakdown", "SpectralReport",
+    "EquivariantRestriction", "GalerkinProblem", "NumericalBreakdown", "NonFiniteSupertrace",
+    "SpectralReport",
     "exact_index", "supertrace", "equivariant_block_index",
     "DivergenceDetected", "QuadratureError", "Cutoff", "FiberMeasureParams",
     "QuadratureConfig", "radial_density", "lambda_m", "unity_check",
@@ -35,7 +36,7 @@ def test_root_names_are_the_module_lists():
     modules = (exact, model, analytic, topological, galerkin, measure)
     assert names == [n for mod in modules for n in mod.__all__] + ["__version__"]
     assert set(names) == ROOT_NAMES
-    assert len(ROOT_NAMES) == 45
+    assert len(ROOT_NAMES) == 46
 
 
 def test_settable_fields():
