@@ -18,9 +18,10 @@ __all__ = [
 
 
 def _check_family_args(l: int, m: int) -> None:
-    if not isinstance(l, int) or l < 2:
+    # the exact type, so that bool, an int subclass, is refused
+    if type(l) is not int or l < 2:
         raise ValueError(f"l must be an integer >= 2, got {l!r}")
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         raise ValueError(f"m must be an integer >= 0, got {m!r}")
 
 

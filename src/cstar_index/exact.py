@@ -244,15 +244,17 @@ def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:
     invariant under every Galois automorphism (it permutes the terms), hence
     rational.  It is computed exactly as an integer power-basis vector modulo
     Phi_N and certified rational on those integers (NotRationalError
-    otherwise) before any rounding can occur.
+    otherwise) before any rounding can occur.  Substituting k -> a^(-1) k,
+    which permutes the nontrivial k, turns the sum into the one with normal
+    weight 1 and bundle weight b a^(-1) mod N, so every normal weight shares
+    the cached sums of weight 1.
     """
     if n < 2:
         raise ValueError("isotropy order must be at least 2")
     a = a % n
-    b = b % n
     if gcd(a, n) != 1:
         raise ValueError(f"normal weight {a} is not a unit modulo {n}")
-    return _point_sum(n, a, b)
+    return _point_sum(n, 1, b * pow(a, -1, n) % n)
 
 
 def unit_root_reciprocal_sum(n: int) -> Fraction:

@@ -28,15 +28,18 @@ l computes the fixed-point index of the quotient family.
 
 D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
 alone builds the blocks, each from its weight: the index ranges of its
-sections and forms, the D-block from the formula above, and each Gram block
-as the vector of Beta moments of which it is the Hankel matrix.  The exact
-rank sums block ranks over Q, each found by fraction-free elimination on
-Python ints; the float spectra come from one walk that factors,
-orthonormalizes and diagonalizes block by block.  `build_dbar_matrix` and
-`gram_matrices` only place the blocks along the diagonal of full matrices,
-in block order: weight ascending, then b (sections) or beta (forms)
-ascending.  Nothing in the program uses them; the tests use them as the
-dense oracle.
+sections and forms, the D-block from the formula above, and for each Gram
+block the first exponent of the Beta moments of which it is the Hankel
+matrix.  The exact rank sums block ranks over Q, each found by
+fraction-free elimination on Python ints.  The float spectra come from one
+walk: every Gram block is read off one table of float moments per complex,
+and the blocks are factored and orthonormalized one by one in weight order,
+so the first block whose float Cholesky fails is the one reported; the
+orthonormalized blocks of each shape are then diagonalized as one stack.
+`build_dbar_matrix` and `gram_matrices` only place the blocks along the
+diagonal of full matrices, in block order: weight ascending, then b
+(sections) or beta (forms) ascending.  Nothing in the program uses them;
+the tests use them as the dense oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ from functools import lru_cache
 from math import factorial, gcd, isfinite
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .analytic import _check_family_args
 
@@ -109,8 +111,11 @@ class EquivariantRestriction:
     label: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 2:
+        # the exact type, so that bool, an int subclass, is refused
+        if type(self.l) is not int or self.l < 2:
             raise ValueError(f"l must be an integer >= 2, got {self.l!r}")
+        if type(self.label) is not int:
+            raise ValueError(f"label must be an integer, got {self.label!r}")
         object.__setattr__(self, "label", self.label % self.l)
 
     def keeps(self, weight: int) -> bool:
@@ -131,9 +136,9 @@ class GalerkinProblem:
     equivariance: EquivariantRestriction | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.K, int) or self.K < 1:
+        if type(self.K) is not int or self.K < 1:
             raise ValueError(f"truncation level K must be an integer >= 1, got {self.K!r}")
-        if not isinstance(self.d, int):
+        if type(self.d) is not int:
             raise ValueError("degree d must be an integer")
         if self.d + self.K < 0:
             raise ValueError(
@@ -167,8 +172,20 @@ def _beta_moment(p: int, s: int) -> Fraction:
     return Fraction(factorial(p) * factorial(s - p - 2), factorial(s - 1))
 
 
+@lru_cache(maxsize=None)
+def _float_moments(s: int) -> np.ndarray:
+    """The floats of _beta_moment(c, s) for c = 0..s-2, read-only.
+
+    Every Gram entry of a complex with this s is one of them: exponent sums
+    run from 0 to (d + K) + K = s - 2 on sections and on forms alike.
+    """
+    table = np.array([float(_beta_moment(c, s)) for c in range(s - 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _weight_blocks(problem: GalerkinProblem):
-    """Yield (weight, b-range, beta-range, D-block, G_V moments, G_W moments).
+    """Yield (weight, b-range, beta-range, D-block, c_V, c_W).
 
     Weights ascend from -K to d + K.  Block w holds the sections v_{b+w,b}
     and forms w_{beta+w+1,beta} for b and beta in the two ranges, in the
@@ -177,12 +194,13 @@ def _weight_blocks(problem: GalerkinProblem):
     in the form range.  Monomials of different weight are orthogonal (the
     angular integral vanishes), and an equal-weight pair gives the Beta
     moment of its exponent sum, so a Gram block of order n is the Hankel
-    matrix of the 2n - 1 moments yielded: entry (i, j) is moments[i + j].
-    Both spaces share s = 2K + d + 2 because the form pairing trades two
-    powers of the conformal factor for the inverse metric on dzbar.
+    matrix of 2n - 1 consecutive moments: entry (i, j) is the moment of
+    exponent c + i + j, where c, yielded as c_V and c_W, is the exponent sum
+    of the block's first element with itself.  Both spaces share
+    s = 2K + d + 2 because the form pairing trades two powers of the
+    conformal factor for the inverse metric on dzbar.
     """
     d, K = problem.d, problem.K
-    s = 2 * K + d + 2
     for w in range(-K, d + K + 1):
         if problem.equivariance is not None and not problem.equivariance.keeps(w):
             continue
@@ -194,10 +212,7 @@ def _weight_blocks(problem: GalerkinProblem):
                 d_block[b - 1 - betas.start][col] = b
             if b < K:
                 d_block[b - betas.start][col] = b - K
-        # the exponent sums of the two Gram blocks, from corner to corner
-        g_v = tuple(_beta_moment(c, s) for c in range(2 * bs.start + w, 2 * bs.stop + w - 1))
-        g_w = tuple(_beta_moment(c, s) for c in range(2 * betas.start + w + 1, 2 * betas.stop + w))
-        yield w, bs, betas, d_block, g_v, g_w
+        yield w, bs, betas, d_block, 2 * bs.start + w, 2 * betas.start + w + 1
 
 
 def _block_diagonal(blocks, zero) -> list[list]:
@@ -223,10 +238,15 @@ def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
 def gram_matrices(problem: GalerkinProblem):
     """Exact Gram matrices (G_V, G_W) in the block order of build_dbar_matrix:
     each diagonal block is the Hankel matrix of its moments, zero elsewhere."""
+    s = 2 * problem.K + problem.d + 2
+
+    def hankel(first, n):
+        return [[_beta_moment(first + i + j, s) for j in range(n)] for i in range(n)]
+
     v_blocks, w_blocks = [], []
-    for _, bs, betas, _, g_v, g_w in _weight_blocks(problem):
-        v_blocks.append((bs, bs, [g_v[i : i + len(bs)] for i in range(len(bs))]))
-        w_blocks.append((betas, betas, [g_w[i : i + len(betas)] for i in range(len(betas))]))
+    for _, bs, betas, _, c_v, c_w in _weight_blocks(problem):
+        v_blocks.append((bs, bs, hankel(c_v, len(bs))))
+        w_blocks.append((betas, betas, hankel(c_w, len(betas))))
     return _block_diagonal(v_blocks, Fraction(0)), _block_diagonal(w_blocks, Fraction(0))
 
 
@@ -290,10 +310,12 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
-def _gram_cholesky(moments, problem: GalerkinProblem, space: str, weight: int) -> np.ndarray:
-    """Lower float Cholesky factor of the Hankel block of `moments`, or NumericalBreakdown."""
-    n = (len(moments) + 1) // 2
-    hankel = np.array(moments, dtype=float)[np.add.outer(np.arange(n), np.arange(n))]
+def _gram_cholesky(
+    moments: np.ndarray, first: int, n: int, problem: GalerkinProblem, space: str, weight: int
+) -> np.ndarray:
+    """Lower float Cholesky factor of the n x n Hankel block of moments[first:],
+    or NumericalBreakdown."""
+    hankel = moments[first + np.add.outer(np.arange(n), np.arange(n))]
     factor, info = dpotrf(hankel, lower=1, clean=1)
     if info > 0:
         raise NumericalBreakdown(problem.d, problem.K, space, weight, info, n)
@@ -305,25 +327,38 @@ def _gram_cholesky(moments, problem: GalerkinProblem, space: str, weight: int) -
 def _block_spectra(problem: GalerkinProblem):
     """One walk over the weight blocks: (rank over Q, evals_V, evals_W, sigma).
 
-    Per block D~ = L_W^T D L_V^(-T) with G = L L^T.  The block spectra are
-    sorted together.  sigma has min(dim_V, dim_W) entries, as for the full
-    D~, because n_V - n_W has the sign of d + 1 in every block.
+    Per block, in weight order, the Gram blocks are read off one float
+    moment table and factored, G = L L^T, so the first block whose float
+    Cholesky fails raises; then D~ = L_W^T D L_V^(-T).  The D~ blocks are
+    stacked by shape, and each stack takes one call per eigensolve and one
+    SVD, which run the same LAPACK routine on every matrix of the stack.
+    The spectra are sorted together.  sigma has min(dim_V, dim_W) entries,
+    as for the full D~, because n_V - n_W has the sign of d + 1 in every
+    block.
     """
+    moments = _float_moments(2 * problem.K + problem.d + 2)
     rank = 0
-    parts_v, parts_w, parts_sigma = [], [], []
-    for weight, _, _, d_block, g_v, g_w in _weight_blocks(problem):
+    by_shape = {}
+    for weight, bs, betas, d_block, c_v, c_w in _weight_blocks(problem):
         rank += _integer_rank(d_block)
-        l_v = _gram_cholesky(g_v, problem, "section", weight)
-        l_w = _gram_cholesky(g_w, problem, "form", weight)
-        d_mat = np.array(d_block, dtype=float)
+        l_v = _gram_cholesky(moments, c_v, len(bs), problem, "section", weight)
+        l_w = _gram_cholesky(moments, c_w, len(betas), problem, "form", weight)
         # D * L_V^(-T) via a triangular solve, then the L_W^T factor
-        d_tilde = l_w.T @ solve_triangular(l_v, d_mat.T, lower=True).T
-        parts_v.append(np.linalg.eigvalsh(d_tilde.T @ d_tilde))
-        parts_w.append(np.linalg.eigvalsh(d_tilde @ d_tilde.T))
-        parts_sigma.append(np.linalg.svd(d_tilde, compute_uv=False))
-    evals_v = np.sort(np.concatenate([np.zeros(0), *parts_v]))
-    evals_w = np.sort(np.concatenate([np.zeros(0), *parts_w]))
-    sigma = np.sort(np.concatenate([np.zeros(0), *parts_sigma]))
+        solved, info = dtrtrs(l_v, np.array(d_block, dtype=float).T, lower=1)
+        if info != 0:
+            raise ValueError(f"LAPACK trtrs returned info {info}")
+        d_tilde = l_w.T @ solved.T
+        by_shape.setdefault(d_tilde.shape, []).append(d_tilde)
+    parts_v, parts_w, parts_sigma = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+    for blocks in by_shape.values():
+        stack = np.stack(blocks)
+        stack_t = stack.transpose(0, 2, 1)
+        parts_v.append(np.linalg.eigvalsh(stack_t @ stack).ravel())
+        parts_w.append(np.linalg.eigvalsh(stack @ stack_t).ravel())
+        parts_sigma.append(np.linalg.svd(stack, compute_uv=False).ravel())
+    evals_v = np.sort(np.concatenate(parts_v))
+    evals_w = np.sort(np.concatenate(parts_w))
+    sigma = np.sort(np.concatenate(parts_sigma))
     return rank, evals_v, evals_w, sigma
 
 

@@ -113,7 +113,8 @@ class FiberMeasureParams:
     cutoff: Cutoff = Cutoff.SMOOTH_BUMP
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 0:
+        # the exact type, so that bool, an int subclass, is refused
+        if type(self.m) is not int or self.m < 0:
             raise ValueError(f"m must be an integer >= 0, got {self.m!r}")
         a = float(self.a)
         if not math.isfinite(a) or a <= 0:
@@ -133,7 +134,7 @@ class QuadratureConfig:
         # refuses a relative tolerance below 50 machine epsilons
         if not (_MIN_REL_TOLERANCE < self.rel_tolerance <= 0.1):
             raise ValueError(f"rel_tolerance must lie in ({_MIN_REL_TOLERANCE:.3g}, 0.1]")
-        if not isinstance(self.angular_nodes, int) or self.angular_nodes < 8:
+        if type(self.angular_nodes) is not int or self.angular_nodes < 8:
             raise ValueError("angular_nodes must be an integer >= 8")
 
 

@@ -75,3 +75,10 @@ def test_argument_validation():
         analytic_index(0, 2)
     with pytest.raises(ValueError):
         invariant_monomial_count(4, 0, 1)
+
+
+@pytest.mark.parametrize("l, m", [(3, True), (3, False), (True, 2)])
+def test_family_args_refuse_bool(l, m):
+    # bool is an int subclass: True would otherwise pass as m = 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        analytic_index(l, m)

@@ -220,18 +220,16 @@ def test_heat_equivariant_block(capsys):
 
 def test_heat_numerical_breakdown_exit_code(capsys, monkeypatch):
     # a Gram block that is not positive definite stands in for the float
-    # Cholesky breakdown of large problems (d=20, K=22 and up)
-    exact_blocks = galerkin._weight_blocks
-
-    def broken_blocks(problem):
-        for weight, bs, betas, d_block, g_v, g_w in exact_blocks(problem):
-            yield weight, bs, betas, d_block, tuple(-x for x in g_v), g_w
-
-    monkeypatch.setattr(galerkin, "_weight_blocks", broken_blocks)
+    # Cholesky breakdown of large problems (d=20, K=22 and up): with every
+    # moment negated, the first block factored, the section block of weight
+    # -1, fails at its first leading minor
+    exact_table = galerkin._float_moments
+    monkeypatch.setattr(galerkin, "_float_moments", lambda s: -exact_table(s))
     code, out, err = run_cli(capsys, ["heat", "--d", "2", "--K", "1"])
     assert code == 5
     assert out == ""
     assert err.startswith("error: numerical breakdown: ")
+    assert "section Gram block of weight -1 failed at leading minor 1" in err
     assert "d=2, K=1" in err
 
 

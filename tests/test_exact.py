@@ -264,6 +264,23 @@ def test_lefschetz_point_sum_matches_field_oracle():
                 assert lefschetz_point_sum(n, a, b) == _lefschetz_field_oracle(n, a, b), (n, a, b)
 
 
+def test_every_normal_weight_shares_the_weight_one_sums():
+    # k -> a^(-1) k permutes the nontrivial k, so the sum with normal weight a
+    # and bundle weight b is the cached one with weight 1 and b a^(-1) mod n;
+    # the uncached histogram with weight a is the reference
+    for n in range(2, 30):
+        for a in range(1, n):
+            if math.gcd(a, n) == 1:
+                for b in range(n):
+                    want = exact._point_sum.__wrapped__(n, a, b)
+                    assert lefschetz_point_sum(n, a, b) == want, (n, a, b)
+    exact._point_sum.cache_clear()
+    lefschetz_point_sum(7, 3, 2)  # 3^(-1) = 5 mod 7, 2 * 5 = 3 mod 7
+    lefschetz_point_sum(7, 1, 3)
+    info = exact._point_sum.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+
+
 # the two routes to the point sums of isotropy order n and normal weight 1:
 # one residue at a time, and every residue below a count from one histogram
 _ROUTES = {

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import sympy
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from cstar_index import galerkin
 from cstar_index.analytic import analytic_index
@@ -47,6 +49,18 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         GalerkinProblem(d=-3, K=2)
     GalerkinProblem(d=-2, K=2)  # boundary case d + K = 0 is allowed
+
+
+@pytest.mark.parametrize("d, K", [(True, True), (True, 2), (2, True), (False, 1)])
+def test_problem_refuses_bool(d, K):
+    with pytest.raises(ValueError, match="must be an integer"):
+        GalerkinProblem(d=d, K=K)
+
+
+@pytest.mark.parametrize("l, label", [(3, True), (2, False), (True, 0)])
+def test_equivariant_restriction_refuses_bool(l, label):
+    with pytest.raises(ValueError, match="must be an integer"):
+        EquivariantRestriction(l=l, label=label)
 
 
 def test_basis_dimensions_and_weights():
@@ -293,28 +307,102 @@ def test_laplacian_pairing():
 
 
 def test_gram_cholesky_breakdown_is_typed(monkeypatch):
-    # zeroing moment 2, the (1, 1) Hankel entry, of one form Gram block makes
-    # its second leading minor -mu_1^2 negative, as rounding does on large
-    # problems
-    exact_blocks = galerkin._weight_blocks
-    broken = {}
+    # shrinking moment 2, the (1, 1) Hankel entry, of one form Gram block to
+    # mu_1^2 / (2 mu_0) makes its second leading minor -mu_1^2 / 2 negative,
+    # as rounding does on large problems; the blocks factored before it read
+    # the same moment table and stay positive definite
+    problem = GalerkinProblem(d=1, K=2)
+    exact_table = galerkin._float_moments
+    weight, _, betas, _, _, first = next(
+        blk for blk in galerkin._weight_blocks(problem) if len(blk[2]) >= 2
+    )
+    broken = {"weight": weight, "size": len(betas)}
 
-    def broken_blocks(problem):
-        for weight, bs, betas, d_block, g_v, g_w in exact_blocks(problem):
-            if len(betas) >= 2 and not broken:
-                broken.update(weight=weight, size=len(betas))
-                g_w = g_w[:2] + (Fraction(0),) + g_w[3:]
-            yield weight, bs, betas, d_block, g_v, g_w
+    def broken_table(s):
+        table = exact_table(s).copy()
+        table[first + 2] = table[first + 1] ** 2 / (2 * table[first])
+        return table
 
-    monkeypatch.setattr(galerkin, "_weight_blocks", broken_blocks)
+    monkeypatch.setattr(galerkin, "_float_moments", broken_table)
     with pytest.raises(NumericalBreakdown) as exc:
-        heat_spectra(GalerkinProblem(d=1, K=2))
+        heat_spectra(problem)
     err = exc.value
     assert not isinstance(err, ValueError)
     assert (err.d, err.K, err.space, err.minor) == (1, 2, "form", 2)
     assert (err.weight, err.size) == (broken["weight"], broken["size"])
     assert "leading minor 2" in str(err)
     assert f"weight {broken['weight']}" in str(err)
+
+
+def _per_block_spectra(problem):
+    """The reference walk: each block's Gram moments converted from the exact
+    Beta moments, its own scipy triangular solve, and its own eigensolves and
+    SVD, the spectra sorted together at the end."""
+    s = 2 * problem.K + problem.d + 2
+    rank = 0
+    parts_v, parts_w, parts_sigma = [], [], []
+    for weight, bs, betas, d_block, c_v, c_w in galerkin._weight_blocks(problem):
+        rank += galerkin._integer_rank(d_block)
+        factors = []
+        for space, first, n in (("section", c_v, len(bs)), ("form", c_w, len(betas))):
+            moments = [galerkin._beta_moment(c, s) for c in range(first, first + 2 * n - 1)]
+            hankel = np.array(moments, dtype=float)[np.add.outer(np.arange(n), np.arange(n))]
+            factor, info = dpotrf(hankel, lower=1, clean=1)
+            if info > 0:
+                raise NumericalBreakdown(problem.d, problem.K, space, weight, info, n)
+            factors.append(factor)
+        l_v, l_w = factors
+        d_mat = np.array(d_block, dtype=float)
+        d_tilde = l_w.T @ solve_triangular(l_v, d_mat.T, lower=True).T
+        parts_v.append(np.linalg.eigvalsh(d_tilde.T @ d_tilde))
+        parts_w.append(np.linalg.eigvalsh(d_tilde @ d_tilde.T))
+        parts_sigma.append(np.linalg.svd(d_tilde, compute_uv=False))
+    evals_v = np.sort(np.concatenate([np.zeros(0), *parts_v]))
+    evals_w = np.sort(np.concatenate([np.zeros(0), *parts_w]))
+    sigma = np.sort(np.concatenate([np.zeros(0), *parts_sigma]))
+    return rank, evals_v, evals_w, sigma
+
+
+_WALK_PROBLEMS = (
+    [GalerkinProblem(d=d, K=K) for d, K in [(-5, 5), (-3, 5), (-2, 2), (-1, 3), (0, 1), (3, 8)]]
+    + [GalerkinProblem(d=K, K=K) for K in (1, 2, 3, 4, 8, 12, 16, 20)]
+    + [
+        GalerkinProblem(d=2 * m, K=3, equivariance=EquivariantRestriction(l=l, label=m % l))
+        for l in range(2, 7)
+        for m in range(12)
+    ]
+    + [
+        GalerkinProblem(d=16, K=8, equivariance=EquivariantRestriction(l=3, label=8)),
+        GalerkinProblem(d=0, K=1, equivariance=EquivariantRestriction(l=5, label=2)),
+    ]
+)
+
+
+def test_stacked_walk_is_bit_identical_to_per_block_walk():
+    # the moment table, the direct LAPACK solve and the stacked eigensolves
+    # reorganize the calls but not the arithmetic
+    for p in _WALK_PROBLEMS:
+        rank, *spectra = galerkin._block_spectra(p)
+        want_rank, *want = _per_block_spectra(p)
+        assert rank == want_rank, p
+        for got, ref in zip(spectra, want):
+            assert np.array_equal(got, ref), p
+
+
+@pytest.mark.parametrize(
+    "d, K, breakdown",
+    [(20, 26, ("section", -4, 23, 23)), (200, 10, ("section", 74, 11, 11))],
+)
+def test_stacked_walk_breaks_down_where_per_block_walk_does(d, K, breakdown):
+    problem = GalerkinProblem(d=d, K=K)
+    errors = []
+    for walk in (galerkin._block_spectra, _per_block_spectra):
+        with pytest.raises(NumericalBreakdown) as exc:
+            walk(problem)
+        err = exc.value
+        errors.append((err.space, err.weight, err.minor, err.size, str(err)))
+    assert errors[0] == errors[1]
+    assert errors[0][:4] == breakdown
 
 
 def _dense_spectra(problem):

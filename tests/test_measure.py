@@ -139,6 +139,12 @@ def test_params_validation():
     FiberMeasureParams(a=1.01, m=2)
 
 
+@pytest.mark.parametrize("m", [True, False])
+def test_params_refuse_bool_m(m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        FiberMeasureParams(a=1.0, m=m)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tolerance=0.0)
@@ -146,6 +152,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tolerance=1e-13)  # scipy quad cannot reach it
     with pytest.raises(ValueError):
         QuadratureConfig(angular_nodes=4)
+
+
+def test_quadrature_config_refuses_bool_nodes():
+    with pytest.raises(ValueError, match="angular_nodes must be an integer"):
+        QuadratureConfig(angular_nodes=True)
 
 
 def test_lambda_hard_cutoff_closed_form():
