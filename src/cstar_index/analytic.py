@@ -27,7 +27,7 @@ def _check_family_args(l: int, m: int) -> None:
 
 def invariant_monomial_count(d: int, l: int, r: int) -> int:
     """Number of exponents k with 0 <= k <= d and k congruent to r mod l."""
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:  # the exact type, refusing bool
         raise ValueError(f"l must be a positive integer, got {l!r}")
     if d < 0:
         return 0

@@ -8,22 +8,22 @@ imaginary part to be small.
 A sum is evaluated in the integer group ring Z[x]/(x^N - 1): for x^N = 1,
 x != 1 the identity 1/(1 - x) = -(1/N) sum_{i<N} (i+1) x^i turns every term
 into integer-weighted powers of zeta, which accumulate into one exponent
-histogram.  That histogram is reduced modulo the monic N-th cyclotomic
+histogram.  Every sum is first brought to normal weight 1 by substituting
+k -> a^(-1) k, so one cache serves every normal weight.  One helper,
+_certified_sums, reduces a histogram modulo the monic N-th cyclotomic
 polynomial Phi_N to its coefficients in the power basis 1, zeta, ...,
-zeta^(phi(N)-1): first folded modulo a multiple of Phi_N in one int64
-subtraction, then divided by Phi_N with the same integer long division that
-builds Phi_N as Phi_M(x^p) / Phi_M(x), p the largest prime factor of N and
-M = N/p (no division when p divides M).  A single sum needs O(N) memory
-beyond one histogram block.  A sweep over every residue b of an order N
-(normal weight 1) counts once how often each product k j hits each exponent
-and reads every residue's histogram off that N x N count matrix in O(N^2),
-instead of one (k, i) table per residue.  That route is capped at
-N^2 <= _HIST_BLOCK entries (N <= 1024), where it needs a few block-sized
-arrays; larger orders are summed one residue at a time.  Either way no
-table is kept per order besides Phi_N itself.
-Phi_N is irreducible over Q, so that basis is linearly independent over Q:
-the sum is rational exactly when every integer coefficient beyond the
-constant term vanishes, and the constant term then gives its value.
+zeta^(phi(N)-1), by a fold and the integer long division that also builds
+Phi_N as Phi_M(x^p) / Phi_M(x), p the largest prime factor of N and M = N/p
+(no division when p divides M).  Phi_N is irreducible over Q, so that basis
+is linearly independent over Q: the sum is rational exactly when every
+integer coefficient beyond the constant term vanishes, and the constant term
+then gives its value.  A single sum needs O(N) memory beyond one histogram
+block.  A sweep over every residue b of an order N counts once how often
+each product k j hits each exponent and reads every residue's histogram off
+that N x N count matrix in O(N^2), instead of one (k, i) table per residue.
+That route is capped at N^2 <= _HIST_BLOCK entries (N <= 1024), where it
+needs a few block-sized arrays; larger orders are summed one residue at a
+time.  Either way no table is kept per order besides Phi_N itself.
 
 General field arithmetic in Q(zeta_N), with an extended-Euclid inverse, is
 kept outside the package as the test suite's oracle
@@ -112,6 +112,11 @@ def _poly_divmod(
     return tuple(quot), tuple(rem[:deg])
 
 
+def _least_prime(n: int) -> int:
+    """Least prime factor of n >= 2."""
+    return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """N-th cyclotomic polynomial as ascending integer coefficients.
@@ -126,7 +131,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     p = n  # divide out least prime factors until the largest prime is left
-    while (q := next((r for r in range(2, isqrt(p) + 1) if p % r == 0), p)) < p:
+    while (q := _least_prime(p)) < p:
         p //= q
     m = n // p
     inner = cyclotomic_polynomial(m)
@@ -139,34 +144,56 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _certified_sums(n: int, hists: np.ndarray, residues) -> tuple[Fraction, ...]:
+    """The point sums -c_0 / n^2 of the residues b from their int64 histograms.
+
+    hists has one histogram per row, in the order of residues, and c is a
+    row reduced modulo Phi_n.  The rows are first folded modulo
+    F = (x^n - 1)/(x^(n/q) - 1) = sum_{j<q} x^(j n/q), q the least prime
+    factor of n: Phi_n divides F, since it shares no root with x^(n/q) - 1,
+    so the fold keeps the class modulo Phi_n.  The fold is one int64
+    subtraction of the top block of n/q coefficients from the others, for
+    every row at once.  Long division by Phi_n on Python ints finishes each
+    row, with no step for a prime or prime-power n.  A sum is rational
+    exactly when its c vanishes beyond the constant term (NotRationalError
+    otherwise).
+    """
+    blocks = hists.reshape(len(hists), _least_prime(n), -1)
+    folded = (blocks[:, :-1] - blocks[:, -1:]).reshape(len(hists), -1)
+    phi = cyclotomic_polynomial(n)
+    sums = []
+    for b, row in zip(residues, folded):
+        _, coeffs = _poly_divmod(row.tolist(), phi)
+        if any(coeffs[1:]):
+            raise NotRationalError(
+                f"point sum ({n}, 1, {b}) has nonzero higher coefficients: {list(coeffs)}"
+            )
+        sums.append(Fraction(-coeffs[0], n * n))
+    return tuple(sums)
+
+
 _HIST_BLOCK = 2**20
 
 
 @lru_cache(maxsize=None)
-def _point_sum(n: int, a: int, b: int) -> Fraction:
-    """Exact (1/n) sum_{k=1}^{n-1} zeta^(bk) / (1 - zeta^(-ak)), a a unit mod n.
+def _point_sum(n: int, b: int) -> Fraction:
+    """Exact (1/n) sum_{k=1}^{n-1} zeta^(bk) / (1 - zeta^(-k)).
 
     For x^n = 1, x != 1 the inverse is 1/(1 - x) = -(1/n) sum_{i<n} (i+1) x^i,
     so the value is -1/n^2 times the group-ring element whose coefficient at
-    e is the total weight i+1 of the pairs (k, i) with k(b - a i) = e mod n.
-    That histogram is reduced modulo Phi_n; the reduced integer vector is
-    rational exactly when its coefficients beyond the constant term vanish.
+    e is the total weight i+1 of the pairs (k, i) with k(b - i) = e mod n,
+    reduced and certified by _certified_sums.
 
     The histogram's entries sum to (n-1) n(n+1)/2, which the order guard
     keeps below 2**53, so every float64 partial sum is an exact integer.
     The (k, i) exponent table is built in row blocks of at most _HIST_BLOCK
-    entries (one block up to n = 1024).  The reduction first folds the
-    histogram modulo F = (x^n - 1)/(x^(n/q) - 1) = sum_{j<q} x^(j n/q), q the
-    least prime factor of n: Phi_n divides F, since it shares no root with
-    x^(n/q) - 1, so the fold keeps the class modulo Phi_n.  It is one int64
-    subtraction of the top block of n/q coefficients from the others.  Long
-    division by Phi_n finishes it, with no step for a prime or prime-power n.
-    Memory is O(n) beyond one histogram block.
+    entries (one block up to n = 1024).  Memory is O(n) beyond one
+    histogram block.
     """
     if (n - 1) * n * (n + 1) // 2 >= 2**53:
         raise OrderTooLargeError(f"order {n} is too large for exact point sums")
     i = np.arange(n)
-    shifts = b - a * i
+    shifts = b - i
     rows = _HIST_BLOCK // n  # n is at most 2**18 once the order guard passes
     hist = np.zeros(n)
     for k0 in range(1, n, rows):
@@ -175,19 +202,11 @@ def _point_sum(n: int, a: int, b: int) -> Fraction:
         weights = np.empty(exponents.shape)
         weights[:] = i + 1  # faster than raveling np.broadcast_to for small n
         hist += np.bincount(exponents.ravel(), weights.ravel(), minlength=n)
-    q = next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
-    blocks = hist.astype(np.int64).reshape(q, n // q)
-    folded = blocks[:-1] - blocks[-1]
-    _, coeffs = _poly_divmod(folded.ravel().tolist(), cyclotomic_polynomial(n))
-    if any(coeffs[1:]):
-        raise NotRationalError(
-            f"point sum ({n}, {a}, {b}) has nonzero higher coefficients: {list(coeffs)}"
-        )
-    return Fraction(-coeffs[0], n * n)
+    return _certified_sums(n, hist.astype(np.int64)[None], (b,))[0]
 
 
 def _order_point_sums(n: int, count: int) -> tuple[Fraction, ...]:
-    """_point_sum(n, 1, b) for the residues b < count of an order n >= 2.
+    """_point_sum(n, b) for the residues b < count of an order n >= 2.
 
     With j = b - i the histogram of residue b is sum_j C[e, j] ((b-j mod n) + 1),
     where C[e, j] = #{k in 1..n-1 : k j = e mod n} does not depend on b.
@@ -197,13 +216,12 @@ def _order_point_sums(n: int, count: int) -> tuple[Fraction, ...]:
 
     O(n^2) from one C counted off the n(n-1) products k j, instead of one
     (k, i) table per residue.  Entries stay below 2 n^3, exact in int64.
-    Each column is folded like _point_sum's histogram, long-divided by Phi_n
-    on Python ints and certified rational on its own.  C and H are n x n, so
+    Every column goes through _certified_sums at once.  C and H are n x n, so
     only orders with n^2 <= _HIST_BLOCK take this route, in a few
     block-sized arrays; larger orders return _point_sum per residue.
     """
     if n * n > _HIST_BLOCK:
-        return tuple(_point_sum(n, 1, b) for b in range(count))
+        return tuple(_point_sum(n, b) for b in range(count))
     j = np.arange(n)
     cells = np.outer(np.arange(1, n), j)
     cells %= n  # e = k j mod n
@@ -220,19 +238,7 @@ def _order_point_sums(n: int, count: int) -> tuple[Fraction, ...]:
     hist -= moments
     hist -= counts[:, :count].T
     del counts
-    q = next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
-    blocks = hist.reshape(count, q, n // q)
-    folded = (blocks[:, :-1] - blocks[:, -1:]).reshape(count, -1)
-    phi = cyclotomic_polynomial(n)
-    sums = []
-    for b, row in enumerate(folded):
-        _, coeffs = _poly_divmod(row.tolist(), phi)
-        if any(coeffs[1:]):
-            raise NotRationalError(
-                f"point sum ({n}, 1, {b}) has nonzero higher coefficients: {list(coeffs)}"
-            )
-        sums.append(Fraction(-coeffs[0], n * n))
-    return tuple(sums)
+    return _certified_sums(n, hist, range(count))
 
 
 def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:
@@ -254,11 +260,15 @@ def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:
     a = a % n
     if gcd(a, n) != 1:
         raise ValueError(f"normal weight {a} is not a unit modulo {n}")
-    return _point_sum(n, 1, b * pow(a, -1, n) % n)
+    return _point_sum(n, b * pow(a, -1, n) % n)
 
 
 def unit_root_reciprocal_sum(n: int) -> Fraction:
-    """Exact value of sum_{k=1}^{N-1} 1 / (zeta_N^k - 1)."""
+    """Exact value of sum_{k=1}^{N-1} 1 / (zeta_N^k - 1).
+
+    Substituting k -> -k makes it -N times the weight-1 sum with b = 0, the
+    cached value of lefschetz_point_sum(N, 1, 0).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return -n * _point_sum(n, n - 1, 0)
+    return -n * _point_sum(n, 0)

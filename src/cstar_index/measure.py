@@ -24,23 +24,24 @@ of the scaling action.  Written in the radius t = s|w| of the orbit point,
 
 its radial weight does not depend on w, so one quadrature rule serves every
 point, and the integral depends on w only through |w|^m and the direction
-w/|w|.  Each projector keeps the value of every direction it has
-evaluated, keyed on the computed w/|w| bit for bit, so it evaluates u once
-per bitwise-distinct direction over its whole life, not once per call; u
-must therefore be a pure function.  Points on one ray share that value only
-when their w/|w| round to the same bits, which along a ray they often do
-not, so a projector also takes its argument as rays: on_rays(c, t) gives
-the value at every t * c from the one direction c/|c|.  When u is itself a
-projector, the outer one hands it the rays of its ring that way, and the
-inner u runs once per ray, not once per rounded direction.  The directions
-a call has not seen reach u in blocks of about _RING_BLOCK = 2**14 ring
-points, sized so that the complex temporaries of u and of the character sum
-stay in a 2 MiB L2 cache, and each direction's value is a sum over its own
-ring alone, so it does not depend on the block or on which other directions
-share its call.  Everything a calculus identity
-promises about the projector (idempotency, equivariance, killing other
-monomials, unit total mass of the pulled-back measure) is rechecked here
-numerically rather than assumed.
+w/|w|.  One ring evaluator gives u on the rings d * (t xi_g) of directions
+d, radial nodes t and angular nodes xi_g, for the rule build and for every
+direction alike.  Each projector keeps a dict from direction to ring value,
+which matches w/|w| by value (==), so u runs once per distinct direction
+over the projector's whole life; u must therefore be a pure function.
+Points on one ray share that value only when their w/|w| round to the same
+value, which along a ray they often do not, so a projector also takes its
+argument as rays: on_rays(c, t) gives the value at every t * c from the one
+direction c/|c|.  The ring evaluator hands a u with that hook, such as an
+inner projector, the rays d * xi_g and the radial nodes apart, so the inner
+u runs once per ray, not once per rounded direction.  Unseen directions
+reach u in blocks of about _RING_BLOCK = 2**14 ring points, sized so that
+the complex temporaries of u and of the character sum stay in a 2 MiB L2
+cache, and each direction's value is a sum over its own ring alone, so it
+does not depend on the block or on which other directions share its call.
+Everything a calculus identity promises about the projector (idempotency,
+equivariance, killing other monomials, unit total mass of the pulled-back
+measure) is rechecked here numerically rather than assumed.
 
 Quadrature is composite Gauss-Legendre with seams at the cutoff breakpoints
 and geometrically growing tail windows.  On each segment the panel count
@@ -416,38 +417,21 @@ def project_m(
 ) -> Callable:
     """Projector onto fiberwise weight m, returned as a callable closure.
 
-    u must accept complex numpy arrays.  In the orbit radius t the radial
-    weight W(t) = t^m rho(t) 2 pi / lambda_m does not depend on the point
-    (module docstring), so one rule with seams at 1 and sqrt(2) serves every
-    point.  It is built here, once, adaptively along the direction
-    w/|w| = 1, with the tolerance anchored to the magnitude envelope of the
-    integrand.  The returned function accepts a complex scalar or array of
-    finite nonzero points.  Its value at w is |w|^m times the character sum
-    of u on the ring of radial times angular nodes turned to the direction
-    w/|w| (exact on trigonometric polynomials of degree below the node
-    count).  The projector keeps that sum for every direction it has seen,
-    keyed on the computed w/|w| bit for bit, and evaluates u only on
-    directions no earlier call asked for: u runs once per bitwise-distinct
-    direction over the projector's whole life.  So u must be a pure
-    function, and the memory a projector holds grows with the number of
-    distinct directions queried (two complex numbers each).  Nothing is
-    shared between projectors.  The closure's on_rays(c, t) is the value
-    at every point t * c (radii t > 0, shaped t.shape + c.shape): |t c|^m
-    times the kept sum of the one direction c/|c|, where the points t * c
-    themselves would round to many directions along each ray.  When u has
-    that hook, as a projector does, the rule build and the rings pass it
-    the rays d * xi_g and the radial nodes apart, so the nested P(P u)
-    runs the inner u once per ray of the outer rings (one direction and
-    its angular nodes), not once per rounded direction; any other u is
-    called on the ring points d * (t xi_g).  The directions no earlier
-    call asked for go to u in blocks of about _RING_BLOCK = 2**14 ring
-    points (one direction's ring where that is larger), so the complex
-    temporaries of u and of the character sum stay in a 2 MiB L2 cache,
-    and composing the projector with itself never holds all its inner
-    values at once.  A direction's value is the character sum of its own
-    ring, summed over its radial nodes alone, so it is a function of that
-    direction only, bit for bit: neither the block size nor the other
-    directions of a call can change it.
+    u must accept complex numpy arrays.  One radial rule with seams at 1 and
+    sqrt(2) serves every point (module docstring).  It is built here, once,
+    adaptively along the direction 1, with the tolerance anchored to the
+    magnitude envelope of the integrand.  The returned function accepts a
+    complex scalar or array of finite nonzero points.  Its value at w is
+    |w|^m times the character sum of u on the ring of the direction w/|w|
+    (exact on trigonometric polynomials of degree below the node count),
+    taken from the projector's dict where an earlier call computed it.
+    The dict holds one entry per distinct direction queried and nothing is
+    shared between projectors.  The closure's on_rays(c, t) is the value at
+    every point t * c (radii t > 0, shaped t.shape + c.shape): |t c|^m times
+    the ring value of the one direction c/|c|.  Unseen directions go to u in
+    blocks of about _RING_BLOCK ring points (one direction's ring where that
+    is larger), so composing the projector with itself never holds all its
+    inner values at once.
     """
     lam = lambda_m(params, quad)
     m = params.m
@@ -457,22 +441,24 @@ def project_m(
     character = np.exp(-1j * m * gammas) / n_ang
     norm = 2.0 * math.pi / lam
     u_on_rays = getattr(u, "on_rays", None)
+    one = np.ones(1, dtype=complex)
 
     def _weight(t: np.ndarray) -> np.ndarray:
         return t**m * radial_density(t, params) * norm
 
-    def _u_on_rays(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # u at every point t * c, shaped t.shape + c.shape
-        if u_on_rays is not None:
-            return u_on_rays(c, t)
-        return np.asarray(u(np.multiply.outer(t, c)))
+    def _rings(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # u on the rings d * (t xi_g), shaped (directions, radial, angular)
+        if u_on_rays is None:
+            return np.asarray(u(d[:, None, None] * np.multiply.outer(t, xi_phases)))
+        # the rays d * xi_g go to u whole, so it never rederives a direction
+        return np.moveaxis(u_on_rays(np.multiply.outer(d, xi_phases), t), 0, 1)
 
     def _profile(t: np.ndarray) -> np.ndarray:
-        return (_u_on_rays(xi_phases, t) @ character) * _weight(t)
+        return (_rings(one, t)[0] @ character) * _weight(t)
 
     def _envelope(t: np.ndarray) -> np.ndarray:
         # magnitude profile of the same integrand with no phase cancellation
-        mags = np.abs(_u_on_rays(xi_phases, t))
+        mags = np.abs(_rings(one, t)[0])
         return (mags @ np.full(n_ang, 1.0 / n_ang)) * _weight(t)
 
     edges = (0.0, 1.0, _SQRT2, 2 * _SQRT2)
@@ -482,38 +468,21 @@ def project_m(
     panels = [_panel_points(lo, hi, n) for lo, hi, n in rec]
     nodes = np.concatenate([pts for pts, _ in panels])
     weights = np.concatenate([wts for _, wts in panels]) * _weight(nodes)
-    ring = np.multiply.outer(nodes, xi_phases)
-    block = max(1, _RING_BLOCK // ring.size)
-    # every direction evaluated so far, sorted, and its ring value
-    memo_dirs = np.empty(0, dtype=complex)
-    memo_vals = np.empty(0, dtype=complex)
-
-    def _ring_block(d: np.ndarray) -> np.ndarray:
-        # u on the rings of the directions d, shaped (d, radial, angular)
-        if u_on_rays is None:
-            return np.asarray(u(d[:, None, None] * ring))
-        # the rays d * xi_g go to u whole, so it never rederives a direction
-        return np.moveaxis(u_on_rays(np.multiply.outer(d, xi_phases), nodes), 0, 1)
+    block = max(1, _RING_BLOCK // (nodes.size * n_ang))
+    memo: dict[complex, complex] = {}  # direction w/|w| -> its ring value
 
     def _direction_values(dirs: np.ndarray) -> np.ndarray:
         # ring value of each direction, evaluating u only on unseen ones
-        nonlocal memo_dirs, memo_vals
         dirs, inverse = np.unique(dirs, return_inverse=True)
-        at = np.searchsorted(memo_dirs, dirs)
-        known = at < memo_dirs.size
-        known[known] = memo_dirs[at[known]] == dirs[known]
-        missing = dirs[~known]
-        if missing.size:
-            vals = np.empty(missing.shape, dtype=complex)
-            for i in range(0, missing.size, block):
-                # a sum per direction, not a matrix product over the block,
-                # so no block size changes the bits of a direction's value
-                ring_u = _ring_block(missing[i : i + block])
-                vals[i : i + block] = ((ring_u @ character) * weights).sum(axis=-1)
-            memo_dirs = np.insert(memo_dirs, at[~known], missing)
-            memo_vals = np.insert(memo_vals, at[~known], vals)
-            at = np.searchsorted(memo_dirs, dirs)
-        return memo_vals[at][inverse]
+        keys = dirs.tolist()
+        missing = [d for d in keys if d not in memo]
+        for i in range(0, len(missing), block):
+            chunk = missing[i : i + block]
+            # a sum per direction, not a matrix product over the block,
+            # so no block size changes the bits of a direction's value
+            vals = ((_rings(np.array(chunk), nodes) @ character) * weights).sum(axis=-1)
+            memo.update(zip(chunk, vals.tolist()))
+        return np.array([memo[d] for d in keys], dtype=complex)[inverse]
 
     def _check(moduli: np.ndarray) -> None:
         if not np.all(np.isfinite(moduli) & (moduli > 0)):

@@ -59,11 +59,12 @@ class FixedPointDatum:
 
     def __post_init__(self) -> None:
         n = self.isotropy_order
-        if not isinstance(n, int) or n < 2:
+        # the exact type, so that bool, an int subclass, is refused
+        if type(n) is not int or n < 2:
             raise ValueError(f"isotropy_order must be an integer >= 2, got {n!r}")
-        if not isinstance(self.normal_weight, int):
+        if type(self.normal_weight) is not int:
             raise ValueError("normal_weight must be an integer")
-        if not isinstance(self.bundle_weight, int):
+        if type(self.bundle_weight) is not int:
             raise ValueError("bundle_weight must be an integer")
         a = self.normal_weight % n
         if gcd(a, n) != 1:

@@ -82,3 +82,9 @@ def test_family_args_refuse_bool(l, m):
     # bool is an int subclass: True would otherwise pass as m = 1
     with pytest.raises(ValueError, match="must be an integer"):
         analytic_index(l, m)
+
+
+def test_invariant_monomial_count_refuses_bool():
+    # l = True would otherwise count modulo 1: 5 exponents for d = 4
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        invariant_monomial_count(4, True, 0)

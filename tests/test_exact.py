@@ -264,21 +264,45 @@ def test_lefschetz_point_sum_matches_field_oracle():
                 assert lefschetz_point_sum(n, a, b) == _lefschetz_field_oracle(n, a, b), (n, a, b)
 
 
+def _weight_a_point_sum(n: int, a: int, b: int) -> Fraction:
+    """The sum with normal weight a from its own group-ring histogram.
+
+    The exponents k(b - a i) mod n, weighted by i + 1, are reduced by one
+    long division by Phi_n, with no fold.
+    """
+    i = np.arange(n)
+    exponents = np.outer(np.arange(1, n), b - a * i) % n
+    weights = np.broadcast_to(i + 1, exponents.shape)
+    hist = np.bincount(exponents.ravel(), weights.ravel(), minlength=n)
+    _, coeffs = exact._poly_divmod(hist.astype(np.int64).tolist(), cyclotomic_polynomial(n))
+    assert not any(coeffs[1:]), (n, a, b)
+    return Fraction(-coeffs[0], n * n)
+
+
 def test_every_normal_weight_shares_the_weight_one_sums():
     # k -> a^(-1) k permutes the nontrivial k, so the sum with normal weight a
     # and bundle weight b is the cached one with weight 1 and b a^(-1) mod n;
-    # the uncached histogram with weight a is the reference
+    # the histogram with weight a is the reference
     for n in range(2, 30):
         for a in range(1, n):
             if math.gcd(a, n) == 1:
                 for b in range(n):
-                    want = exact._point_sum.__wrapped__(n, a, b)
+                    want = _weight_a_point_sum(n, a, b)
                     assert lefschetz_point_sum(n, a, b) == want, (n, a, b)
     exact._point_sum.cache_clear()
     lefschetz_point_sum(7, 3, 2)  # 3^(-1) = 5 mod 7, 2 * 5 = 3 mod 7
     lefschetz_point_sum(7, 1, 3)
     info = exact._point_sum.cache_info()
     assert (info.hits, info.currsize) == (1, 1)
+
+
+def test_reciprocal_sum_shares_the_weight_one_sum():
+    # k -> -k makes sum 1/(zeta^k - 1) the weight-1 sum with b = 0 times -n
+    exact._point_sum.cache_clear()
+    value = unit_root_reciprocal_sum(7)
+    assert lefschetz_point_sum(7, 1, 0) == -value / 7
+    info = exact._point_sum.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # the two routes to the point sums of isotropy order n and normal weight 1:
@@ -389,7 +413,7 @@ def test_cold_point_sum_memory_is_bounded_by_histogram_blocks():
     exact.cyclotomic_polynomial(n)  # cached, and not part of the sum's cost
     tracemalloc.start()
     try:
-        value = exact._point_sum.__wrapped__(n, 1, 0)
+        value = exact._point_sum.__wrapped__(n, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,7 +422,7 @@ def test_cold_point_sum_memory_is_bounded_by_histogram_blocks():
 
 
 def _single_sums(n, residues):
-    return tuple(exact._point_sum.__wrapped__(n, 1, b) for b in residues)
+    return tuple(exact._point_sum.__wrapped__(n, b) for b in residues)
 
 
 def test_order_point_sums_match_single_sums():
@@ -464,7 +488,7 @@ def test_order_point_sums_past_the_block_go_one_by_one(monkeypatch):
 
     monkeypatch.setattr(exact, "_point_sum", recorded)
     sums = exact._order_point_sums(n, 3)
-    assert calls == [(n, 1, 0), (n, 1, 1), (n, 1, 2)]
+    assert calls == [(n, 0), (n, 1), (n, 2)]
     assert sums == want
     assert sums == tuple(mu_closed(n, b) for b in range(3))
 

@@ -572,6 +572,53 @@ def test_repeated_call_reuses_every_direction(rule_sizes):
     assert again.tobytes() == first.tobytes()
 
 
+def _rays_counting(proj, counts):
+    # proj with its rays hook kept, recording the rays each hook call gets
+    def g(w):
+        return proj(w)
+
+    def on_rays(c, t):
+        counts.append(np.size(c))
+        return proj.on_rays(c, t)
+
+    g.on_rays = on_rays
+    return g
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
+def test_memo_merges_seen_and_unseen_directions(rule_sizes, nested):
+    # a call mixing the directions of an earlier call (grid A) with new ones
+    # (grid B, repeats included) runs u on the new ones only, and returns
+    # what a fresh projector gives, bit for bit.  The memo matches w/|w| by
+    # value, so complex(1, -0.0) in B takes the entry of 1 + 0j in A
+    p = FiberMeasureParams(a=1.0, m=0)
+    n_ang = DEFAULT.angular_nodes
+
+    def make(counts):
+        # the projector and the count u records per direction evaluated
+        if nested:
+            inner = project_m(_bump, p, DEFAULT)
+            return project_m(_rays_counting(inner, counts), p, DEFAULT), n_ang
+        proj = project_m(_counting(_bump, counts), p, DEFAULT)
+        return proj, rule_sizes[-1] * n_ang
+
+    counts = []
+    proj, per_direction = make(counts)
+    grid_a = np.append(np.outer([0.5, 1.3], np.exp(1j * np.array([-2.6, -0.9, 0.4, 2.1]))), 1.0)
+    grid_b = np.array([0.8 * np.exp(0.45j), 0.6 * np.exp(0.45j), 2.0 * np.exp(-2.2j),
+                       complex(1.0, -0.0)])
+    union = np.concatenate([grid_a, grid_b, grid_a[:3], grid_b[:2]])
+    seen = {complex(d) for d in grid_a / np.abs(grid_a)}
+    new = {complex(d) for d in grid_b / np.abs(grid_b)} - seen
+    assert complex(1.0, -0.0) in seen and 2 <= len(new) <= 3
+    proj(grid_a)
+    counts.clear()
+    merged = proj(union)
+    assert sum(counts) == per_direction * len(new)
+    fresh, _ = make([])
+    assert merged.tobytes() == fresh(union).tobytes()
+
+
 def test_nested_build_evaluates_inner_once_per_direction(rule_sizes):
     # the outer rule build calls the inner projector many times, largely on
     # the same directions: the inner u sees each of them once over all calls

@@ -31,6 +31,17 @@ def test_fixed_point_datum_validation():
         FixedPointDatum(isotropy_order=4, normal_weight=2, bundle_weight=1)
 
 
+def test_fixed_point_datum_refuses_bool():
+    # bool is an int subclass: True would otherwise pass as weight 1 (and
+    # False as 0), so FixedPointDatum(5, True, False) built a point
+    with pytest.raises(ValueError, match="normal_weight must be an integer"):
+        FixedPointDatum(5, True, False)
+    with pytest.raises(ValueError, match="bundle_weight must be an integer"):
+        FixedPointDatum(5, 1, False)
+    with pytest.raises(ValueError, match="isotropy_order must be an integer"):
+        FixedPointDatum(True, 1, 0)
+
+
 def test_example_to_kawasaki_validation():
     with pytest.raises(ValueError):
         example_to_kawasaki(1, 0)
