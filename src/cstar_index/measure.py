@@ -47,10 +47,13 @@ Quadrature is composite Gauss-Legendre with seams at the cutoff breakpoints
 and geometrically growing tail windows.  On each segment the panel count
 doubles from one 12-point panel until two successive estimates agree within
 the segment's share of the tolerance, so that error estimate, not a fixed
-minimum panel count, sets how many nodes a rule has.  Divergent parameter
-choices (a <= m/2) are refused only by lambda_m, which every consumer calls
-first, empirically from the window ratios, not by a formula, so the
-integrability dichotomy is itself under test.
+minimum panel count, sets how many nodes a rule has.  A walk calls its
+integrand once per doubling level on the panel sets it is sure to need and
+never looks ahead to a segment or window it has not reached, so the
+integrand sees each point of the one-call-per-panel-set walk once, and no
+other.  Divergent choices (a <= m/2) are refused only by lambda_m, which
+every consumer calls first, empirically from the window ratios, not by a
+formula, so the integrability dichotomy is itself under test.
 """
 
 from __future__ import annotations
@@ -224,35 +227,52 @@ _TAIL_WINDOW_BUDGET = 256
 _FLAT_RATIO = 0.99  # a window this close to the previous one is not decaying
 
 
+@lru_cache(maxsize=1024)
 def _panel_points(lo: float, hi: float, n_panels: int):
+    # shared, so read-only; bounded, as pullback_measure_total's seams follow |w|
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
     pts = (mids[:, None] + half * _GAUSS_X[None, :]).ravel()
     wts = np.tile(_GAUSS_W * half, n_panels)
+    pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 
 
-def _panel_integral(f, lo: float, hi: float, n_panels: int) -> complex:
-    pts, wts = _panel_points(lo, hi, n_panels)
-    vals = np.asarray(f(pts))
-    return complex(np.dot(vals, wts))
+def _panel_integrals(f, keys, vals=None) -> dict:
+    """Add to vals (or a new dict) f's integral on each panel set (lo, hi, n).
+
+    One call of f covers the keys vals lacks; each value is the dot product
+    of its own slice of f's values, so no other panel set moves its bits.
+    """
+    vals = {} if vals is None else vals
+    keys = [key for key in keys if key not in vals]
+    if keys:
+        rules = [_panel_points(*key) for key in keys]
+        values = np.asarray(f(np.concatenate([pts for pts, _ in rules])))
+        start = 0
+        for key, (pts, wts) in zip(keys, rules):
+            vals[key] = complex(np.dot(values[start : start + pts.size], wts))
+            start += pts.size
+    return vals
 
 
-def _refine(f, lo: float, hi: float, tol_abs: float):
+def _refine(f, lo: float, hi: float, tol_abs: float, vals: dict):
     """Panel-doubling Gauss quadrature on [lo, hi]; returns (value, panels).
 
     The doubling starts from a single panel and stops at the first pair of
     successive estimates within tol_abs, returning the finer one, so the
     error estimate alone sets the size of the rule: there is no floor on
     the panel count.  The finest rule tried has 2**(_MAX_SUBDIVISIONS + 1)
-    panels.
+    panels.  vals maps (lo, hi, n) to the n-panel estimate; a level it
+    lacks costs one call of f, which 1 and 2 panels share.
     """
+    _panel_integrals(f, [(lo, hi, 1), (lo, hi, 2)], vals)
     n = 1
-    prev = _panel_integral(f, lo, hi, n)
+    prev = vals[lo, hi, n]
     for _ in range(_MAX_SUBDIVISIONS + 1):
         n *= 2
-        cur = _panel_integral(f, lo, hi, n)
+        cur = _panel_integrals(f, [(lo, hi, n)], vals)[lo, hi, n]
         if abs(cur - prev) <= tol_abs:
             return cur, n
         prev = cur
@@ -268,10 +288,17 @@ def _integrate_radial(
 ) -> complex:
     """Integral of f over (0, inf) with seams and a geometric tail.
 
-    f must accept a vector of radii and may return complex values.  The tail
-    is summed over doubling windows; decay ratios both terminate the sum
-    (with a geometric remainder bound) and flag divergence when consecutive
-    windows stop shrinking while still above tolerance.
+    f must accept a vector of radii, act on each radius alone, and may
+    return complex values.  The tail is summed over doubling windows; decay
+    ratios both terminate the sum (with a geometric remainder bound) and
+    flag divergence when consecutive windows stop shrinking while still
+    above tolerance.
+
+    The stopping rule reads one dict of estimates keyed (lo, hi, n).  The
+    first call of f takes the scale pass's 4-panel sets and the first
+    segment's 1 and 2 panels; a later segment or window gets its 1 and 2
+    panels in one call once the walk reaches it, each finer level in one
+    more, so nothing past the window where the walk stops is evaluated.
 
     scale_floor anchors the tolerance budget when the integrand itself
     nearly cancels (an angular average of an off-weight function, say), so
@@ -285,15 +312,17 @@ def _integrate_radial(
     segments = list(zip(edges[:-1], edges[1:]))
 
     # rough scale pass to convert the relative tolerance into a budget
-    scale = sum(abs(_panel_integral(f, lo, hi, 4)) for lo, hi in segments)
-    scale += abs(_panel_integral(f, edges[-1], 2 * edges[-1], 4))
+    tail = (edges[-1], 2 * edges[-1])
+    first = [(*segments[0], 1), (*segments[0], 2)]
+    vals = _panel_integrals(f, [(lo, hi, 4) for lo, hi in segments + [tail]] + first)
+    scale = sum(abs(vals[lo, hi, 4]) for lo, hi in segments + [tail])
     scale = max(scale, scale_floor, 1e-300)
     budget = quad.rel_tolerance * scale
     seg_tol = 0.1 * budget / (len(segments) + 1)
 
     total = 0j
     for lo, hi in segments:
-        val, n = _refine(f, lo, hi, seg_tol)
+        val, n = _refine(f, lo, hi, seg_tol, vals)
         total += val
         if record is not None:
             record.append((lo, hi, n))
@@ -303,7 +332,7 @@ def _integrate_radial(
     prev_mag = None
     strikes = 0
     for _ in range(_TAIL_WINDOW_BUDGET):
-        val, n = _refine(f, lo, 2 * lo, seg_tol)
+        val, n = _refine(f, lo, 2 * lo, seg_tol, vals)
         total += val
         if record is not None:
             record.append((lo, 2 * lo, n))
@@ -462,7 +491,8 @@ def project_m(
         return (mags @ np.full(n_ang, 1.0 / n_ang)) * _weight(t)
 
     edges = (0.0, 1.0, _SQRT2, 2 * _SQRT2)
-    floor = abs(sum(_panel_integral(_envelope, lo, hi, 4) for lo, hi in zip(edges, edges[1:])))
+    envelope = _panel_integrals(_envelope, [(lo, hi, 4) for lo, hi in zip(edges, edges[1:])])
+    floor = abs(sum(envelope.values()))
     rec: list[tuple[float, float, int]] = []
     _integrate_radial(_profile, edges[1:3], quad, record=rec, scale_floor=floor)
     panels = [_panel_points(lo, hi, n) for lo, hi, n in rec]

@@ -393,6 +393,25 @@ def test_measure_quadrature_failure_exit_code(capsys):
     assert "tail did not settle" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--a", "6.1", "--m", "12"], 5), (["--a", "0.4", "--m", "1"], 4)],
+)
+def test_measure_failure_stderr_is_one_error_line(argv, code):
+    # a failing walk stops where it fails: an integrand evaluated past that
+    # point (a look-ahead over tail windows, say) prints numpy's overflow
+    # warnings here, which a fresh interpreter shows on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstar_index.cli", "measure", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) <= 1
+
+
 def test_measure_rejects_unreachable_tolerance(capsys):
     code, out, err = run_cli(
         capsys, ["measure", "--a", "1", "--m", "0", "--tol", "1e-13", "--skip-projector"]
