@@ -30,9 +30,9 @@ D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
 alone builds the blocks, each from its weight: the index ranges of its
 sections and forms, the D-block from the formula above, and for each Gram
 block the first exponent of the Beta moments of which it is the Hankel
-matrix.  The exact rank sums block ranks over Q, each found by
-fraction-free elimination on Python ints.  The float spectra come from one
-walk: every Gram block is read off one table of float moments per complex,
+matrix.  Each distinct D-block is built, ranked over Q and converted to
+float once per process, and the walk reads all three from the cache.  In the
+float walk every Gram block is read off one float moment table per complex,
 and the blocks are factored and orthonormalized one by one in weight order,
 so the first block whose float Cholesky fails is the one reported; the
 orthonormalized blocks of each shape are then diagonalized as one stack.
@@ -189,9 +189,8 @@ def _weight_blocks(problem: GalerkinProblem):
 
     Weights ascend from -K to d + K.  Block w holds the sections v_{b+w,b}
     and forms w_{beta+w+1,beta} for b and beta in the two ranges, in the
-    order of the full bases.  The int D-block (rows forms, columns sections)
-    follows the formula for D v_{a,b}, whose targets keep the weight and lie
-    in the form range.  Monomials of different weight are orthogonal (the
+    order of the full bases.  The D-block is a new list of `_d_block`'s
+    cached rows.  Monomials of different weight are orthogonal (the
     angular integral vanishes), and an equal-weight pair gives the Beta
     moment of its exponent sum, so a Gram block of order n is the Hankel
     matrix of 2n - 1 consecutive moments: entry (i, j) is the moment of
@@ -206,13 +205,23 @@ def _weight_blocks(problem: GalerkinProblem):
             continue
         bs = range(max(0, -w), min(K, d + K - w) + 1)
         betas = range(max(0, -w - 1), min(K - 1, d + K - w) + 1)
-        d_block = [[0] * len(bs) for _ in betas]
-        for col, b in enumerate(bs):
-            if b > 0:
-                d_block[b - 1 - betas.start][col] = b
-            if b < K:
-                d_block[b - betas.start][col] = b - K
+        d_block = list(_d_block(K, bs, betas)[0])
         yield w, bs, betas, d_block, 2 * bs.start + w, 2 * betas.start + w + 1
+
+
+@lru_cache(maxsize=1024)
+def _d_block(K: int, bs: range, betas: range):
+    """(int rows as tuples, rank over Q, read-only float transpose) of the D-block
+    on bs and betas, rows forms; the middle weights 0..d of a complex share it."""
+    rows = [[0] * len(bs) for _ in betas]
+    for col, b in enumerate(bs):
+        if b > 0:
+            rows[b - 1 - betas.start][col] = b
+        if b < K:
+            rows[b - betas.start][col] = b - K
+    floats = np.array(rows, dtype=float)
+    floats.flags.writeable = False
+    return tuple(map(tuple, rows)), _integer_rank(rows), floats.T
 
 
 def _block_diagonal(blocks, zero) -> list[list]:
@@ -298,10 +307,10 @@ def _report(problem, dim_v, dim_w, rank, samples=(), pairing=None) -> SpectralRe
 def exact_index(problem: GalerkinProblem) -> SpectralReport:
     """Kernel, cokernel, and index of the truncated complex, exactly over Q."""
     dim_v = dim_w = rank = 0
-    for _, bs, betas, d_block, _, _ in _weight_blocks(problem):
+    for _, bs, betas, _, _, _ in _weight_blocks(problem):
         dim_v += len(bs)
         dim_w += len(betas)
-        rank += _integer_rank(d_block)
+        rank += _d_block(problem.K, bs, betas)[1]
     return _report(problem, dim_v, dim_w, rank)
 
 
@@ -310,12 +319,20 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _hankel_index(n: int) -> np.ndarray:
+    """The read-only n x n matrix of i + j."""
+    index = np.add.outer(np.arange(n), np.arange(n))
+    index.flags.writeable = False
+    return index
+
+
 def _gram_cholesky(
     moments: np.ndarray, first: int, n: int, problem: GalerkinProblem, space: str, weight: int
 ) -> np.ndarray:
     """Lower float Cholesky factor of the n x n Hankel block of moments[first:],
     or NumericalBreakdown."""
-    hankel = moments[first + np.add.outer(np.arange(n), np.arange(n))]
+    hankel = moments[first + _hankel_index(n)]
     factor, info = dpotrf(hankel, lower=1, clean=1)
     if info > 0:
         raise NumericalBreakdown(problem.d, problem.K, space, weight, info, n)
@@ -339,12 +356,13 @@ def _block_spectra(problem: GalerkinProblem):
     moments = _float_moments(2 * problem.K + problem.d + 2)
     rank = 0
     by_shape = {}
-    for weight, bs, betas, d_block, c_v, c_w in _weight_blocks(problem):
-        rank += _integer_rank(d_block)
+    for weight, bs, betas, _, c_v, c_w in _weight_blocks(problem):
+        _, block_rank, d_t = _d_block(problem.K, bs, betas)
+        rank += block_rank
         l_v = _gram_cholesky(moments, c_v, len(bs), problem, "section", weight)
         l_w = _gram_cholesky(moments, c_w, len(betas), problem, "form", weight)
         # D * L_V^(-T) via a triangular solve, then the L_W^T factor
-        solved, info = dtrtrs(l_v, np.array(d_block, dtype=float).T, lower=1)
+        solved, info = dtrtrs(l_v, d_t, lower=1)
         if info != 0:
             raise ValueError(f"LAPACK trtrs returned info {info}")
         d_tilde = l_w.T @ solved.T

@@ -334,14 +334,27 @@ def test_gram_cholesky_breakdown_is_typed(monkeypatch):
     assert f"weight {broken['weight']}" in str(err)
 
 
+def _formula_d_block(K, bs, betas):
+    """D v_{a,b} = b w_{a,b-1} + (b - K) w_{a+1,b} on one weight block, built
+    here in its own loop rather than read from the program's cache."""
+    rows = [[0] * len(bs) for _ in betas]
+    for col, b in enumerate(bs):
+        for beta, entry in ((b - 1, b), (b, b - K)):
+            if entry and beta in betas:
+                rows[beta - betas.start][col] = entry
+    return rows
+
+
 def _per_block_spectra(problem):
-    """The reference walk: each block's Gram moments converted from the exact
-    Beta moments, its own scipy triangular solve, and its own eigensolves and
-    SVD, the spectra sorted together at the end."""
+    """The reference walk: each D-block from its formula and its own exact
+    elimination, each block's Gram moments converted from the exact Beta
+    moments, its own scipy triangular solve, and its own eigensolves and SVD,
+    the spectra sorted together at the end."""
     s = 2 * problem.K + problem.d + 2
     rank = 0
     parts_v, parts_w, parts_sigma = [], [], []
-    for weight, bs, betas, d_block, c_v, c_w in galerkin._weight_blocks(problem):
+    for weight, bs, betas, _, c_v, c_w in galerkin._weight_blocks(problem):
+        d_block = _formula_d_block(problem.K, bs, betas)
         rank += galerkin._integer_rank(d_block)
         factors = []
         for space, first, n in (("section", c_v, len(bs)), ("form", c_w, len(betas))):
@@ -379,14 +392,29 @@ _WALK_PROBLEMS = (
 
 
 def test_stacked_walk_is_bit_identical_to_per_block_walk():
-    # the moment table, the direct LAPACK solve and the stacked eigensolves
-    # reorganize the calls but not the arithmetic
-    for p in _WALK_PROBLEMS:
-        rank, *spectra = galerkin._block_spectra(p)
-        want_rank, *want = _per_block_spectra(p)
-        assert rank == want_rank, p
-        for got, ref in zip(spectra, want):
-            assert np.array_equal(got, ref), p
+    # the moment table, the cached D-blocks, the direct LAPACK solve and the
+    # stacked eigensolves reorganize the calls but not the arithmetic; the
+    # second pass reads every D-block from a warm cache, in another order
+    galerkin._d_block.cache_clear()
+    for problems in (_WALK_PROBLEMS, _WALK_PROBLEMS[::-1]):
+        for p in problems:
+            rank, *spectra = galerkin._block_spectra(p)
+            want_rank, *want = _per_block_spectra(p)
+            assert rank == want_rank, p
+            for got, ref in zip(spectra, want):
+                assert np.array_equal(got, ref), p
+
+
+def _breakdowns(problem, walks):
+    """(space, weight, minor, size, message) of the NumericalBreakdown each
+    walk must raise on problem."""
+    errors = []
+    for walk in walks:
+        with pytest.raises(NumericalBreakdown) as exc:
+            walk(problem)
+        err = exc.value
+        errors.append((err.space, err.weight, err.minor, err.size, str(err)))
+    return errors
 
 
 @pytest.mark.parametrize(
@@ -395,14 +423,59 @@ def test_stacked_walk_is_bit_identical_to_per_block_walk():
 )
 def test_stacked_walk_breaks_down_where_per_block_walk_does(d, K, breakdown):
     problem = GalerkinProblem(d=d, K=K)
-    errors = []
-    for walk in (galerkin._block_spectra, _per_block_spectra):
-        with pytest.raises(NumericalBreakdown) as exc:
-            walk(problem)
-        err = exc.value
-        errors.append((err.space, err.weight, err.minor, err.size, str(err)))
+    errors = _breakdowns(problem, (galerkin._block_spectra, _per_block_spectra))
     assert errors[0] == errors[1]
     assert errors[0][:4] == breakdown
+
+
+def test_warm_walk_breaks_down_on_the_same_block():
+    # (20, 20) fills the cache first; the second (20, 26) walk reads every
+    # D-block it reaches from the cache, and still names the same block
+    galerkin._d_block.cache_clear()
+    galerkin._block_spectra(GalerkinProblem(d=20, K=20))
+    walks = (galerkin._block_spectra, galerkin._block_spectra, _per_block_spectra)
+    errors = _breakdowns(GalerkinProblem(d=20, K=26), walks)
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0][:4] == ("section", -4, 23, 23)
+
+
+def test_each_distinct_d_block_is_ranked_once(monkeypatch):
+    # the 21 middle weights 0..20 share one D-block, so 61 blocks need 41
+    # eliminations; a second walk and the exact index need none
+    calls = []
+    exact_rank = galerkin._integer_rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(galerkin, "_integer_rank", counted)
+    galerkin._d_block.cache_clear()
+    problem = GalerkinProblem(d=20, K=20)
+    first = supertrace(problem)
+    assert len(calls) == 41
+    assert supertrace(problem) == first
+    assert exact_index(problem).index_exact == first.index_exact == 21
+    assert len(calls) == 41
+
+
+def test_d_block_cache_is_bounded_and_read_only():
+    assert galerkin._d_block.cache_info().maxsize == 1024
+    assert galerkin._hankel_index.cache_info().maxsize == 1024
+    problem = GalerkinProblem(d=3, K=4)
+    for _, bs, betas, d_block, _, _ in galerkin._weight_blocks(problem):
+        rows, rank, d_t = galerkin._d_block(problem.K, bs, betas)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert rows == tuple(map(tuple, _formula_d_block(problem.K, bs, betas)))
+        assert rank == galerkin._integer_rank(rows)
+        assert np.array_equal(d_t, np.array(rows, dtype=float).T)
+        with pytest.raises(ValueError):
+            d_t[0, 0] = 1.0
+        # the yielded block is the caller's own list of the cached rows
+        d_block.clear()
+        assert galerkin._d_block(problem.K, bs, betas)[0] == rows
+    with pytest.raises(ValueError):
+        galerkin._hankel_index(3)[0, 0] = 7
 
 
 def _dense_spectra(problem):
