@@ -177,9 +177,12 @@ def _float_moments(s: int) -> np.ndarray:
     """The floats of _beta_moment(c, s) for c = 0..s-2, read-only.
 
     Every Gram entry of a complex with this s is one of them: exponent sums
-    run from 0 to (d + K) + K = s - 2 on sections and on forms alike.
+    run from 0 to (d + K) + K = s - 2 on sections and on forms alike.  Each
+    is int true division, correctly rounded as float(Fraction) is, so no
+    Fraction is built and _beta_moment's cache stays empty.
     """
-    table = np.array([float(_beta_moment(c, s)) for c in range(s - 1)])
+    top = factorial(s - 1)
+    table = np.array([factorial(c) * factorial(s - c - 2) / top for c in range(s - 1)])
     table.flags.writeable = False
     return table
 

@@ -9,11 +9,14 @@ with m < 2a integrable:
 where phi1 is 1 on [0, 1] and 0 from 2 on (a hard step switches at 1
 instead), and phi2 = 1 - phi1.  lambda_m is the total mass of r^(2m) against
 2 pi rho, and dv_m = (2 pi / lambda_m) rho normalizes that moment to one.
-A single radius, as scipy's quad asks for one at a time, is evaluated in
-Python floats with the same IEEE operations as an array of radii, so both
-give the same bits; only the tail power stays a numpy ufunc, because
-numpy's float64 power and libm's pow, which Python's ** calls, can differ
-in the last bit.
+An array of radii is evaluated piece by piece, each piece on its own radii:
+rho = r where phi1 = 1, the pure tail where phi1 = 0, and the logistic
+blend only in the band between.  A single radius is evaluated in Python
+floats with the same IEEE operations, so both give the same bits; only the
+tail power stays a numpy ufunc, because numpy's float64 power and libm's
+pow, which Python's ** calls, can differ in the last bit.  unity_check's
+library quadrature asks for one Python float at a time and calls that
+scalar density directly; like lambda_m, it is memoized per key.
 
 The projector onto fiberwise weight m averages a function over the orbit
 s e^(i g) w of a point w of the punctured plane against the m-th character
@@ -147,22 +150,6 @@ class QuadratureConfig:
 # ---------------------------------------------------------------------------
 
 
-def _phi1(x: np.ndarray, cutoff: Cutoff) -> np.ndarray:
-    """Cutoff profile on the squared radius: 1 near 0, 0 far out."""
-    if cutoff is Cutoff.HARD_STEP:
-        return np.where(x <= 1.0, 1.0, 0.0)
-    out = np.empty_like(x)
-    out[x <= 1.0] = 1.0
-    out[x >= 2.0] = 0.0
-    mid = (x > 1.0) & (x < 2.0)
-    if np.any(mid):
-        t = x[mid] - 1.0
-        # quotient step exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))), written
-        # through the logistic function for stability at both ends
-        out[mid] = expit(1.0 / t - 1.0 / (1.0 - t))
-    return out
-
-
 def _density_at(r: float, params: FiberMeasureParams) -> float:
     """radial_density at one radius, in Python floats.
 
@@ -199,7 +186,8 @@ def radial_density(r, params: FiberMeasureParams):
     Python floats, without numpy's per-call overhead, and returned as a
     float equal bit for bit to the array path's entry; the tail power stays
     numpy's, since libm's pow can differ from it in the last bit.  An array
-    returns an array.  Radii must be finite and nonnegative.
+    returns a new array, evaluated piece by piece (module docstring).  Radii
+    must be finite and nonnegative.
     """
     arr = np.asarray(r, dtype=float)
     if arr.ndim == 0:
@@ -207,14 +195,24 @@ def radial_density(r, params: FiberMeasureParams):
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise ValueError(_BAD_RADIUS)
     x = arr * arr
-    p1 = _phi1(x, params.cutoff)
-    p2 = 1.0 - p1
     a = params.a
-    tail = np.zeros_like(arr)
-    mask = p2 > 0.0  # implies r > 1, so the negative power is safe
-    if np.any(mask):
-        tail[mask] = 4.0 * a * a * arr[mask] ** (-4.0 * a - 2.0)
-    return (p1 + p2 * tail) * arr
+    # each piece only on its own radii, with (p1 + p2 * tail) * r's bits:
+    # the copy is r where phi1 = 1, and tail * r where phi1 = 0
+    out = arr.copy()
+    # where phi1 = 0; r > 1 there, so the negative power is safe
+    tail = x >= 2.0 if params.cutoff is Cutoff.SMOOTH_BUMP else x > 1.0
+    rt = arr[tail]
+    if rt.size:
+        out[tail] = 4.0 * a * a * rt ** (-4.0 * a - 2.0) * rt
+    band = (x > 1.0) & ~tail
+    rb = arr[band]
+    if rb.size:
+        t = x[band] - 1.0
+        # quotient step exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))), written
+        # through the logistic function for stability at both ends
+        p1 = expit(1.0 / t - 1.0 / (1.0 - t))
+        out[band] = (p1 + (1.0 - p1) * (4.0 * a * a * rb ** (-4.0 * a - 2.0))) * rb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +378,7 @@ def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     return 2.0 * math.pi * val.real
 
 
+@lru_cache(maxsize=1024)
 def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Total mass of r^(2m) dv_m by an independent route; should be 1.
 
@@ -397,7 +396,8 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     m2 = 2 * m
 
     def integrand(rr: float) -> float:
-        return rr**m2 * radial_density(rr, params)
+        # quad passes a Python float, so the scalar density needs no dispatch
+        return rr**m2 * _density_at(rr, params)
 
     eps = 0.05 * quad.rel_tolerance
     i1, _ = _scipy_quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200)

@@ -328,7 +328,7 @@ def test_heat_rejects_nonfinite_time(capsys, monkeypatch, t):
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        (["heat", "--d", "2", "--K", "1"], "galerkin", "_beta_moment"),
+        (["heat", "--d", "2", "--K", "1"], "galerkin", "_float_moments"),
         (["sweep", "--l-max", "3", "--m-max", "1"], "cli", "_mu_closed_ratio"),
     ],
 )

@@ -149,6 +149,22 @@ def test_beta_moment_against_sympy_and_quad():
             assert abs(approx - float(g_v[i][j])) < 1e-10
 
 
+def test_float_moments_are_the_fractions_rounded():
+    for s in range(3, 301):
+        want = np.array([float(galerkin._beta_moment(c, s)) for c in range(s - 1)])
+        assert np.array_equal(galerkin._float_moments(s).view(np.int64), want.view(np.int64)), s
+
+
+def test_moment_tables_leave_the_fraction_cache_empty():
+    # the walk reads only float tables, so no exact moment outlives it
+    galerkin._beta_moment.cache_clear()
+    galerkin._float_moments.cache_clear()
+    for d in (0, 4, 20, 60):
+        supertrace(GalerkinProblem(d=d, K=10))
+    assert galerkin._float_moments.cache_info().currsize == 4
+    assert galerkin._beta_moment.cache_info().currsize == 0
+
+
 def test_gram_entry_matches_polar_double_integral():
     # full convention check in polar coordinates for one same-weight pair
     d, K = 2, 2

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import expit
 
 from cstar_index import measure
 from cstar_index.measure import (
@@ -92,6 +93,54 @@ def test_scalar_radius_matches_array_path(cutoff):
             assert radial_density(np.array(r), p) == want
 
 
+def _three_pass_density(r, params):
+    """radial_density's array path as three full-length passes: the oracle."""
+    x = r * r
+    if params.cutoff is Cutoff.HARD_STEP:
+        p1 = np.where(x <= 1.0, 1.0, 0.0)
+    else:
+        p1 = np.empty_like(x)
+        p1[x <= 1.0] = 1.0
+        p1[x >= 2.0] = 0.0
+        mid = (x > 1.0) & (x < 2.0)
+        t = x[mid] - 1.0
+        p1[mid] = expit(1.0 / t - 1.0 / (1.0 - t))
+    p2 = 1.0 - p1
+    a = params.a
+    tail = np.zeros_like(r)
+    mask = p2 > 0.0
+    tail[mask] = 4.0 * a * a * r[mask] ** (-4.0 * a - 2.0)
+    return (p1 + p2 * tail) * r
+
+
+@pytest.mark.parametrize("cutoff", list(Cutoff))
+def test_density_pieces_match_three_pass_oracle(cutoff):
+    rng = np.random.default_rng(11)
+    s2 = math.sqrt(2.0)
+    below1, above1 = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    below2, above2 = np.nextafter(s2, 0.0), np.nextafter(s2, 2.0)
+    inner = np.concatenate([[0.0, 1.0, below1], rng.uniform(0.0, 1.0, 40)])
+    band = np.concatenate([[above1, below2], rng.uniform(1.0, s2, 40)])
+    tail = np.concatenate([[s2, above2], rng.uniform(s2, 30.0, 40)])
+    # each batch lies wholly in its piece of the smooth bump
+    assert np.all(inner**2 <= 1.0)
+    assert np.all((band**2 > 1.0) & (band**2 < 2.0))
+    assert np.all(tail**2 >= 2.0)
+    edges = [1.0, below1, above1, s2, below2, above2]
+    mixed = rng.permutation(np.concatenate([edges, rng.uniform(0.0, 4.0, 58)]))
+    batches = [inner, band, tail, mixed, mixed.reshape(8, 8), np.empty(0)]
+    for a in (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 2.37, 4.1):
+        p = FiberMeasureParams(a=a, m=0, cutoff=cutoff)
+        for r in batches:
+            kept = r.copy()
+            got = radial_density(r, p)
+            want = _three_pass_density(r, p)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (a, r)
+            got[...] = -1.0  # the result never aliases the radii
+            assert np.array_equal(r, kept)
+
+
 @pytest.mark.parametrize(
     "a, m, cutoff, tol",
     [
@@ -105,11 +154,48 @@ def test_scalar_radius_matches_array_path(cutoff):
 def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol):
     params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
     quad = QuadratureConfig(rel_tolerance=tol)
+    unity_check.cache_clear()
     fast = unity_check(params, quad)
-    monkeypatch.setattr(
-        measure, "_density_at", lambda r, p: float(radial_density(np.array([r]), p)[0])
-    )
+    radii = []
+
+    def array_path(r, p):
+        radii.append(r)
+        return float(radial_density(np.array([r]), p)[0])
+
+    monkeypatch.setattr(measure, "_density_at", array_path)
+    # the memo would return fast without evaluating anything
+    unity_check.cache_clear()
     assert unity_check(params, quad) == fast
+    assert radii
+
+
+def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
+    calls = []
+    library_quad = measure._scipy_quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return library_quad(*args, **kwargs)
+
+    def dispatch(r, p):
+        raise AssertionError("unity_check's integrand calls _density_at directly")
+
+    monkeypatch.setattr(measure, "_scipy_quad", counted)
+    params = FiberMeasureParams(a=1.3, m=1)
+    lambda_m(params, DEFAULT)
+    unity_check.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(measure, "radial_density", dispatch)
+        first = unity_check(params, DEFAULT)
+    assert calls == [(0.0, 1.0), (1.0, math.sqrt(2.0))]
+    assert unity_check(params, DEFAULT).hex() == first.hex()
+    assert len(calls) == 2
+    assert unity_check.cache_info().maxsize == 1024
+    # an exception is not memoized: divergent parameters raise every time
+    for _ in range(2):
+        with pytest.raises(DivergenceDetected):
+            unity_check(FiberMeasureParams(a=0.5, m=2), DEFAULT)
+    assert unity_check.cache_info().currsize == 1
 
 
 def test_cutoffs_agree_outside_transition_band():

@@ -11,10 +11,10 @@ One line per case: the sha256 of its (stdout, stderr, exit code), the exit
 code, and the arguments.  Two checkouts print the same bytes exactly when
 every case is byte-identical, so `diff` the two files.
 
-The list holds 27 `heat`, 11 `verify`, 7 `sweep`, 8 `kawasaki` and 26
-`measure` cases: successes, refused arguments (exit 2), divergent measures
-(exit 4) and numerical breakdowns (exit 5), among them the Gram Cholesky
-cliffs `heat --d 20 --K 26` and `--d 200 --K 10`.
+The list holds 27 `heat`, 11 `verify`, 7 `sweep`, 8 `kawasaki` and 42
+`measure` cases, 95 in all: successes, refused arguments (exit 2),
+divergent measures (exit 4) and numerical breakdowns (exit 5), among them
+the Gram Cholesky cliffs `heat --d 20 --K 26` and `--d 200 --K 10`.
 """
 
 from __future__ import annotations
@@ -127,6 +127,13 @@ MEASURE = [
     "--a 25 --m 24",
     "--a 0.6 --m 1",
     "--a 12 --m 23 --skip-projector",
+    # the 16 distinct measure queries of query-stream, seed 1 (a = 1.663,
+    # m = 4 is divergent and exits 4)
+    *(f"--a {a} --m {m} --cutoff smooth --skip-projector" for a, m in
+      [(1.518, 2), (1.956, 1), (2.439, 3), (1.663, 4), (0.688, 0), (2.102, 3), (2.788, 3),
+       (1.026, 0), (1.859, 2), (1.617, 1), (1.268, 1), (0.927, 1), (0.344, 0), (1.371, 0),
+       (2.199, 2)]),
+    "--a 1.17 --m 0 --cutoff hard --skip-projector",
     # divergent, exit 4
     "--a 0.5 --m 2",
     "--a 0.4 --m 1",
