@@ -31,7 +31,7 @@ alone builds the blocks, each from its weight: the index ranges of its
 sections and forms, the D-block from the formula above, and for each Gram
 block the first exponent of the Beta moments of which it is the Hankel
 matrix.  Each distinct D-block is built, ranked over Q and converted to
-float once per process, and the walk reads all three from the cache.  In the
+float once per process, and the walk yields that cached triple.  In the
 float walk every Gram block is read off one float moment table per complex,
 and the blocks are factored and orthonormalized one by one in weight order,
 so the first block whose float Cholesky fails is the one reported; the
@@ -192,13 +192,13 @@ def _weight_blocks(problem: GalerkinProblem):
 
     Weights ascend from -K to d + K.  Block w holds the sections v_{b+w,b}
     and forms w_{beta+w+1,beta} for b and beta in the two ranges, in the
-    order of the full bases.  The D-block is a new list of `_d_block`'s
-    cached rows.  Monomials of different weight are orthogonal (the
-    angular integral vanishes), and an equal-weight pair gives the Beta
-    moment of its exponent sum, so a Gram block of order n is the Hankel
-    matrix of 2n - 1 consecutive moments: entry (i, j) is the moment of
-    exponent c + i + j, where c, yielded as c_V and c_W, is the exponent sum
-    of the block's first element with itself.  Both spaces share
+    order of the full bases.  The D-block is `_d_block`'s cached triple.
+    Monomials of different weight are orthogonal (the angular integral
+    vanishes), and an equal-weight pair gives the Beta moment of its
+    exponent sum, so a Gram block of order n is the Hankel matrix of 2n - 1
+    consecutive moments: entry (i, j) is the moment of exponent c + i + j,
+    where c, yielded as c_V and c_W, is the exponent sum of the block's
+    first element with itself.  Both spaces share
     s = 2K + d + 2 because the form pairing trades two powers of the
     conformal factor for the inverse metric on dzbar.
     """
@@ -208,8 +208,7 @@ def _weight_blocks(problem: GalerkinProblem):
             continue
         bs = range(max(0, -w), min(K, d + K - w) + 1)
         betas = range(max(0, -w - 1), min(K - 1, d + K - w) + 1)
-        d_block = list(_d_block(K, bs, betas)[0])
-        yield w, bs, betas, d_block, 2 * bs.start + w, 2 * betas.start + w + 1
+        yield w, bs, betas, _d_block(K, bs, betas), 2 * bs.start + w, 2 * betas.start + w + 1
 
 
 @lru_cache(maxsize=1024)
@@ -243,7 +242,7 @@ def _block_diagonal(blocks, zero) -> list[list]:
 def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
     """Integer matrix of D, rows the forms and columns the sections, both in
     block order: weight ascending, then beta (rows) or b (columns) ascending."""
-    blocks = ((betas, bs, d_block) for _, bs, betas, d_block, _, _ in _weight_blocks(problem))
+    blocks = ((betas, bs, d_block[0]) for _, bs, betas, d_block, _, _ in _weight_blocks(problem))
     return _block_diagonal(blocks, 0)
 
 
@@ -310,10 +309,10 @@ def _report(problem, dim_v, dim_w, rank, samples=(), pairing=None) -> SpectralRe
 def exact_index(problem: GalerkinProblem) -> SpectralReport:
     """Kernel, cokernel, and index of the truncated complex, exactly over Q."""
     dim_v = dim_w = rank = 0
-    for _, bs, betas, _, _, _ in _weight_blocks(problem):
+    for _, bs, betas, (_, block_rank, _), _, _ in _weight_blocks(problem):
         dim_v += len(bs)
         dim_w += len(betas)
-        rank += _d_block(problem.K, bs, betas)[1]
+        rank += block_rank
     return _report(problem, dim_v, dim_w, rank)
 
 
@@ -359,8 +358,7 @@ def _block_spectra(problem: GalerkinProblem):
     moments = _float_moments(2 * problem.K + problem.d + 2)
     rank = 0
     by_shape = {}
-    for weight, bs, betas, _, c_v, c_w in _weight_blocks(problem):
-        _, block_rank, d_t = _d_block(problem.K, bs, betas)
+    for weight, bs, betas, (_, block_rank, d_t), c_v, c_w in _weight_blocks(problem):
         rank += block_rank
         l_v = _gram_cholesky(moments, c_v, len(bs), problem, "section", weight)
         l_w = _gram_cholesky(moments, c_w, len(betas), problem, "form", weight)

@@ -54,9 +54,11 @@ minimum panel count, sets how many nodes a rule has.  A walk calls its
 integrand once per doubling level on the panel sets it is sure to need and
 never looks ahead to a segment or window it has not reached, so the
 integrand sees each point of the one-call-per-panel-set walk once, and no
-other.  Divergent choices (a <= m/2) are refused only by lambda_m, which
-every consumer calls first, empirically from the window ratios, not by a
-formula, so the integrability dichotomy is itself under test.
+other.  The walk returns, with its value, the panel sets it stopped on: the
+rule a projector then evaluates every direction with.  Divergent choices
+(a <= m/2) are refused only by lambda_m, which every consumer calls first,
+empirically from the window ratios, not by a formula, so the integrability
+dichotomy is itself under test.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad as _scipy_quad
@@ -237,13 +239,12 @@ def _panel_points(lo: float, hi: float, n_panels: int):
     return pts, wts
 
 
-def _panel_integrals(f, keys, vals=None) -> dict:
-    """Add to vals (or a new dict) f's integral on each panel set (lo, hi, n).
+def _panel_integrals(f, keys, vals: dict) -> dict:
+    """Add to vals f's integral on each panel set (lo, hi, n); return vals.
 
     One call of f covers the keys vals lacks; each value is the dot product
     of its own slice of f's values, so no other panel set moves its bits.
     """
-    vals = {} if vals is None else vals
     keys = [key for key in keys if key not in vals]
     if keys:
         rules = [_panel_points(*key) for key in keys]
@@ -277,20 +278,17 @@ def _refine(f, lo: float, hi: float, tol_abs: float, vals: dict):
     raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] with up to {n} panels")
 
 
-def _integrate_radial(
-    f,
-    seams: Sequence[float],
-    quad: QuadratureConfig,
-    record=None,
-    scale_floor: float = 0.0,
-) -> complex:
-    """Integral of f over (0, inf) with seams and a geometric tail.
+def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0):
+    """Integral of f over (0, inf) with seams and a geometric tail: (value, rule).
 
     f must accept a vector of radii, act on each radius alone, and may
-    return complex values.  The tail is summed over doubling windows; decay
+    return complex values.  seams are the ascending positive radii that end
+    the bounded segments.  The tail is summed over doubling windows; decay
     ratios both terminate the sum (with a geometric remainder bound) and
     flag divergence when consecutive windows stop shrinking while still
-    above tolerance.
+    above tolerance.  rule lists the panel set (lo, hi, n) each segment and
+    window stopped on, in walk order, and value is their estimates summed
+    in that order from 0j.
 
     The stopping rule reads one dict of estimates keyed (lo, hi, n).  The
     first call of f takes the scale pass's 4-panel sets and the first
@@ -303,27 +301,24 @@ def _integrate_radial(
     that a relative tolerance is never applied to a value that is zero by
     symmetry.
     """
-    cuts = sorted({float(s) for s in seams if s > 0})
-    if not cuts:
-        raise ValueError("at least one positive seam is required")
-    edges = [0.0] + cuts
+    edges = [0.0, *seams]
     segments = list(zip(edges[:-1], edges[1:]))
 
     # rough scale pass to convert the relative tolerance into a budget
     tail = (edges[-1], 2 * edges[-1])
     first = [(*segments[0], 1), (*segments[0], 2)]
-    vals = _panel_integrals(f, [(lo, hi, 4) for lo, hi in segments + [tail]] + first)
+    vals = _panel_integrals(f, [(lo, hi, 4) for lo, hi in segments + [tail]] + first, {})
     scale = sum(abs(vals[lo, hi, 4]) for lo, hi in segments + [tail])
     scale = max(scale, scale_floor, 1e-300)
-    budget = quad.rel_tolerance * scale
+    budget = rel_tolerance * scale
     seg_tol = 0.1 * budget / (len(segments) + 1)
 
     total = 0j
+    rule = []
     for lo, hi in segments:
         val, n = _refine(f, lo, hi, seg_tol, vals)
         total += val
-        if record is not None:
-            record.append((lo, hi, n))
+        rule.append((lo, hi, n))
 
     tail_tol = 0.25 * budget
     lo = edges[-1]
@@ -332,11 +327,10 @@ def _integrate_radial(
     for _ in range(_TAIL_WINDOW_BUDGET):
         val, n = _refine(f, lo, 2 * lo, seg_tol, vals)
         total += val
-        if record is not None:
-            record.append((lo, 2 * lo, n))
+        rule.append((lo, 2 * lo, n))
         mag = abs(val)
         if mag <= 1e-300:
-            return total
+            return total, rule
         if prev_mag is not None and prev_mag > 0:
             ratio = mag / prev_mag
             if ratio >= _FLAT_RATIO:
@@ -351,7 +345,7 @@ def _integrate_radial(
                 strikes = 0
                 # remaining tail is below mag * ratio / (1 - ratio)
                 if mag <= tail_tol * (1.0 - ratio):
-                    return total
+                    return total, rule
         prev_mag = mag
         lo *= 2
     raise QuadratureError("tail did not settle within the window budget")
@@ -362,7 +356,7 @@ def _integrate_radial(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Normalizing mass lambda_m = 2 pi * Int r^(2m) rho(r) dr.
 
@@ -374,7 +368,7 @@ def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     def integrand(rr):
         return rr**m2 * radial_density(rr, params)
 
-    val = _integrate_radial(integrand, (1.0, _SQRT2), quad)
+    val, _ = _integrate_radial(integrand, (1.0, _SQRT2), quad.rel_tolerance)
     return 2.0 * math.pi * val.real
 
 
@@ -417,8 +411,8 @@ def pullback_measure_total(
     projector reproduce weight-m functions pointwise.
     """
     r0 = abs(w)
-    if r0 == 0:
-        raise ValueError("w must be a nonzero point of the punctured plane")
+    if not 0 < r0 < math.inf:
+        raise ValueError("w must be a finite nonzero point of the punctured plane")
     lam = lambda_m(params, quad)
     m2 = 2 * params.m
 
@@ -426,7 +420,7 @@ def pullback_measure_total(
         t = r0 / s
         return t**m2 * radial_density(t, params) * (r0 / (s * s))
 
-    val = _integrate_radial(integrand, (r0 / _SQRT2, r0), quad)
+    val, _ = _integrate_radial(integrand, (r0 / _SQRT2, r0), quad.rel_tolerance)
     return 2.0 * math.pi * val.real / lam
 
 
@@ -491,11 +485,10 @@ def project_m(
         return (mags @ np.full(n_ang, 1.0 / n_ang)) * _weight(t)
 
     edges = (0.0, 1.0, _SQRT2, 2 * _SQRT2)
-    envelope = _panel_integrals(_envelope, [(lo, hi, 4) for lo, hi in zip(edges, edges[1:])])
+    envelope = _panel_integrals(_envelope, [(lo, hi, 4) for lo, hi in zip(edges, edges[1:])], {})
     floor = abs(sum(envelope.values()))
-    rec: list[tuple[float, float, int]] = []
-    _integrate_radial(_profile, edges[1:3], quad, record=rec, scale_floor=floor)
-    panels = [_panel_points(lo, hi, n) for lo, hi, n in rec]
+    _, rule = _integrate_radial(_profile, edges[1:3], quad.rel_tolerance, floor)
+    panels = [_panel_points(lo, hi, n) for lo, hi, n in rule]
     nodes = np.concatenate([pts for pts, _ in panels])
     weights = np.concatenate([wts for _, wts in panels]) * _weight(nodes)
     block = max(1, _RING_BLOCK // (nodes.size * n_ang))
@@ -515,8 +508,9 @@ def project_m(
         return np.array([memo[d] for d in keys], dtype=complex)[inverse]
 
     def _check(moduli: np.ndarray) -> None:
-        if not np.all(np.isfinite(moduli) & (moduli > 0)):
-            raise ValueError("projector arguments must be nonzero and finite")
+        # c / |c| overflows to nan below the smallest normal modulus
+        if not np.all(np.isfinite(moduli) & (moduli >= np.finfo(float).tiny)):
+            raise ValueError("projector arguments must be finite, with a normal nonzero modulus")
 
     def projected(w):
         # the one ray of each point w, at radius 1: 1.0 * |w| is exact

@@ -8,6 +8,7 @@ exercised on purpose with parameters on the wrong side of a = m/2.
 import functools
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -190,7 +191,7 @@ def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
     assert calls == [(0.0, 1.0), (1.0, math.sqrt(2.0))]
     assert unity_check(params, DEFAULT).hex() == first.hex()
     assert len(calls) == 2
-    assert unity_check.cache_info().maxsize == 1024
+    assert unity_check.cache_info().maxsize == lambda_m.cache_info().maxsize == 1024
     # an exception is not memoized: divergent parameters raise every time
     for _ in range(2):
         with pytest.raises(DivergenceDetected):
@@ -335,7 +336,7 @@ def test_refine_budget_and_failure():
 
 # The per-panel walk the batched one replaced: one call of f per panel set,
 # the scale pass first, then each segment and tail window doubled in turn.
-# It is the oracle for the batched walk's values, records and radii.
+# It is the oracle for the batched walk's values, rules and radii.
 
 
 def _oracle_panel_points(lo, hi, n_panels):
@@ -365,20 +366,20 @@ def _oracle_refine(f, lo, hi, tol_abs):
     raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] with up to {n} panels")
 
 
-def _oracle_integrate_radial(f, seams, quad, record, scale_floor=0.0):
-    cuts = sorted({float(s) for s in seams if s > 0})
-    edges = [0.0] + cuts
+def _oracle_integrate_radial(f, seams, rel_tolerance, scale_floor=0.0):
+    edges = [0.0, *seams]
     segments = list(zip(edges[:-1], edges[1:]))
     scale = sum(abs(_oracle_panel_integral(f, lo, hi, 4)) for lo, hi in segments)
     scale += abs(_oracle_panel_integral(f, edges[-1], 2 * edges[-1], 4))
     scale = max(scale, scale_floor, 1e-300)
-    budget = quad.rel_tolerance * scale
+    budget = rel_tolerance * scale
     seg_tol = 0.1 * budget / (len(segments) + 1)
     total = 0j
+    rule = []
     for lo, hi in segments:
         val, n = _oracle_refine(f, lo, hi, seg_tol)
         total += val
-        record.append((lo, hi, n))
+        rule.append((lo, hi, n))
     tail_tol = 0.25 * budget
     lo = edges[-1]
     prev_mag = None
@@ -386,10 +387,10 @@ def _oracle_integrate_radial(f, seams, quad, record, scale_floor=0.0):
     for _ in range(measure._TAIL_WINDOW_BUDGET):
         val, n = _oracle_refine(f, lo, 2 * lo, seg_tol)
         total += val
-        record.append((lo, 2 * lo, n))
+        rule.append((lo, 2 * lo, n))
         mag = abs(val)
         if mag <= 1e-300:
-            return total
+            return total, rule
         if prev_mag is not None and prev_mag > 0:
             ratio = mag / prev_mag
             if ratio >= measure._FLAT_RATIO:
@@ -403,26 +404,27 @@ def _oracle_integrate_radial(f, seams, quad, record, scale_floor=0.0):
             else:
                 strikes = 0
                 if mag <= tail_tol * (1.0 - ratio):
-                    return total
+                    return total, rule
         prev_mag = mag
         lo *= 2
     raise QuadratureError("tail did not settle within the window budget")
 
 
 def _run_walk(walk, f, args, kwargs):
-    """Outcome, record and per-call radii of one walk of f."""
+    """Outcome, rule and per-call radii of one walk of f."""
     calls = []
 
     def counted(r):
         calls.append(np.array(r))
         return f(r)
 
-    record = []
+    rule = None
     try:
-        outcome = np.complex128(walk(counted, *args, **{**kwargs, "record": record})).tobytes()
+        value, rule = walk(counted, *args, **kwargs)
+        outcome = np.complex128(value).tobytes()
     except ArithmeticError as exc:
         outcome = (type(exc), str(exc))
-    return outcome, record, calls
+    return outcome, rule, calls
 
 
 _BATCHED_WALK = measure._integrate_radial
@@ -487,7 +489,7 @@ def test_batched_walk_matches_oracle_on_projector_rules(walks, monkeypatch):
     floors = []
     batched = measure._panel_integrals
 
-    def capturing(f, keys, vals=None):
+    def capturing(f, keys, vals):
         if f.__name__ == "_envelope":
             floors.append((f, keys))
         return batched(f, keys, vals)
@@ -502,7 +504,7 @@ def test_batched_walk_matches_oracle_on_projector_rules(walks, monkeypatch):
     # the envelope floor: three 4-panel sets from one call of f
     for f, keys in floors:
         assert [n for _, _, n in keys] == [4, 4, 4]
-        new = abs(sum(batched(f, keys).values()))
+        new = abs(sum(batched(f, keys, {}).values()))
         old = abs(sum(_oracle_panel_integral(f, *key) for key in keys))
         assert new == old
 
@@ -517,6 +519,44 @@ def test_batched_walk_matches_oracle_on_failures(walks):
     with pytest.raises(QuadratureError, match=r"no convergence on \[0, 0.494975\]"):
         pullback_measure_total(p, DEFAULT, complex(measure._PROBE_POINTS[0]))
     _same_walks(walks)
+
+
+@pytest.mark.parametrize(
+    "a, m, cutoff, tol",
+    [
+        (1.0, 0, Cutoff.SMOOTH_BUMP, 1e-6),
+        (1.0, 0, Cutoff.HARD_STEP, 1e-8),
+        (1.5, 2, Cutoff.SMOOTH_BUMP, 1e-10),
+        (2.0, 1, Cutoff.HARD_STEP, 1e-6),
+        (3.0, 2, Cutoff.SMOOTH_BUMP, 1e-3),
+    ],
+)
+def test_walk_value_is_its_rule_summed(walks, a, m, cutoff, tol):
+    # the returned rule is the panel sets the value was summed from: each
+    # one's estimate on its own, added in rule order from 0j, gives the
+    # value bit for bit
+    p, q = FiberMeasureParams(a=a, m=m, cutoff=cutoff), QuadratureConfig(tol)
+    lambda_m.__wrapped__(p, q)
+    pullback_measure_total(p, q, complex(measure._PROBE_POINTS[2]))
+    assert len(walks) >= 2  # and lambda_m's own walk where its cache was cold
+    for f, args, kwargs in walks:
+        value, rule = _BATCHED_WALK(f, *args, **kwargs)
+        assert len(rule) >= 3 and [lo for lo, _, _ in rule] == sorted(lo for lo, _, _ in rule)
+        total = 0j
+        for key in rule:
+            total += measure._panel_integrals(f, [key], {})[key]
+        assert np.complex128(total).tobytes() == np.complex128(value).tobytes()
+
+
+@pytest.mark.parametrize(
+    "w", [0, 0.0, math.nan, math.inf, complex(1.0, math.inf), complex(math.nan, 1.0)]
+)
+def test_pullback_refuses_zero_and_nonfinite(w):
+    p = FiberMeasureParams(a=1.0, m=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not evaluated with numpy warnings
+        with pytest.raises(ValueError, match="finite nonzero point"):
+            pullback_measure_total(p, DEFAULT, w)
 
 
 def test_panel_points_are_cached_read_only():
@@ -534,11 +574,11 @@ def rule_sizes(monkeypatch):
     sizes = []
     engine = measure._integrate_radial
 
-    def recording(*args, **kwargs):
-        value = engine(*args, **kwargs)
-        if kwargs.get("record") is not None:
-            sizes.append(sum(n for _, _, n in kwargs["record"]) * measure._GAUSS_X.size)
-        return value
+    def recording(f, *args, **kwargs):
+        value, rule = engine(f, *args, **kwargs)
+        if f.__name__ == "_profile":
+            sizes.append(sum(n for _, _, n in rule) * measure._GAUSS_X.size)
+        return value, rule
 
     monkeypatch.setattr(measure, "_integrate_radial", recording)
     return sizes
@@ -638,12 +678,12 @@ def test_one_radial_rule_per_projector(monkeypatch):
     ring_sizes = []
     engine = measure._integrate_radial
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        value = engine(*args, **kwargs)
-        rule = sum(n for _, _, n in kwargs["record"]) * measure._GAUSS_X.size
-        ring_sizes.append(rule * q.angular_nodes)
-        return value
+    def counted(f, *args, **kwargs):
+        builds.append(f.__name__)
+        value, rule = engine(f, *args, **kwargs)
+        if f.__name__ == "_profile":
+            ring_sizes.append(sum(n for _, _, n in rule) * measure._GAUSS_X.size * q.angular_nodes)
+        return value, rule
 
     sizes = []
 
@@ -659,7 +699,7 @@ def test_one_radial_rule_per_projector(monkeypatch):
     lambda_m(p, q)  # the normalization has its own radial integral, cached
     monkeypatch.setattr(measure, "_integrate_radial", counted)
     pu = project_m(recorded(_bump), p, q)
-    assert len(builds) == 1
+    assert builds == ["_profile"]
     grid = np.outer(np.linspace(0.3, 3.0, 40), np.exp(1j * np.linspace(0.0, 6.0, 5)))
     vals = pu(grid)
     assert len(builds) == 1  # 40 distinct moduli, still the one rule
@@ -681,7 +721,8 @@ def test_projector_shapes_and_zero_rejection():
     vals = proj(grid)
     assert vals.shape == grid.shape
     assert isinstance(proj(1.0 + 0.5j), complex)
-    for bad in (0.0, math.inf, math.nan, complex(1.0, math.inf)):
+    # below the smallest normal modulus, w / |w| would overflow to nan
+    for bad in (0.0, 1e-310, math.inf, math.nan, complex(1.0, math.inf)):
         with pytest.raises(ValueError):
             proj(bad)
     with pytest.raises(ValueError):
@@ -778,11 +819,11 @@ def test_rays_hook_matches_generic_path(monkeypatch, a, m):
     rules = []
     engine = measure._integrate_radial
 
-    def recording(*args, **kwargs):
-        value = engine(*args, **kwargs)
-        if kwargs.get("record") is not None:
-            rules.append(kwargs["record"])
-        return value
+    def recording(f, *args, **kwargs):
+        value, rule = engine(f, *args, **kwargs)
+        if f.__name__ == "_profile":
+            rules.append(rule)
+        return value, rule
 
     monkeypatch.setattr(measure, "_integrate_radial", recording)
     hooked = project_m(pu, p, DEFAULT)
@@ -824,7 +865,7 @@ def test_nested_projector_inner_work_per_ray(rule_sizes):
 
 
 def _aliasing_xfail(m, error):
-    reason = f"ROADMAP item 2: 32 angular nodes alias P_m(bump) at m={m} ({error} relative)"
+    reason = f"ROADMAP item 3: 32 angular nodes alias P_m(bump) at m={m} ({error} relative)"
     return pytest.param(m, marks=pytest.mark.xfail(strict=True, reason=reason))
 
 
