@@ -1,4 +1,5 @@
-"""Command line front end.
+"""Command line front end: it parses arguments, renders results and maps
+errors to exit codes; the other modules compute.
 
 Subcommands:
 
@@ -34,14 +35,8 @@ import json
 import sys
 from functools import lru_cache
 
-from .analytic import _check_family_args, kappa
-from .exact import (
-    OrderTooLargeError,
-    _order_point_sums,
-    _ratio_text,
-    format_rational,
-    lefschetz_point_sum,
-)
+from .analytic import _check_family_args
+from .exact import OrderTooLargeError, format_rational, lefschetz_point_sum
 from .galerkin import (
     _HEAT_TIMES,
     EquivariantRestriction,
@@ -62,13 +57,7 @@ from .measure import (
     unity_check,
 )
 from .model import SCHEMA_VERSION, ValidationError, kawasaki_from_json_dict
-from .topological import (
-    _hrr_ratio,
-    _mu_closed_ratio,
-    _reduced,
-    kawasaki_index,
-    verify_identity,
-)
+from .topological import kawasaki_index, sweep_rows, verify_identity
 
 __all__ = [
     "cmd_verify",
@@ -115,40 +104,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-
-def sweep_rows(l_max: int, m_max: int) -> list[dict]:
-    """All grid rows, l-major then m-minor, keyed and ordered by column.
-
-    The point sums of an order come at once from one enumerated histogram,
-    and each is rendered once per residue.  kappa, the smooth term and the
-    closed form are evaluated at every (l, m), as reduced integer pairs, so
-    each rational is rendered as a p/q string without a Fraction.
-    """
-    rows = []
-    for l in range(2, l_max + 1):
-        sums = _order_point_sums(l, min(l, m_max + 1))
-        texts = [format_rational(mu) for mu in sums]
-        for m in range(m_max + 1):
-            b = m % l
-            p, q = sums[b].numerator, sums[b].denominator
-            k = kappa(l, m)
-            hrr = _hrr_ratio(l, m)
-            mu_c = _mu_closed_ratio(l, m)
-            total = _reduced(hrr[0] * q + 2 * p * hrr[1], hrr[1] * q)  # hrr + 2 mu_b
-            rows.append(
-                {
-                    "l": l,
-                    "m": m,
-                    "kappa": k,
-                    "hrr": _ratio_text(*hrr),
-                    "mu_closed": _ratio_text(*mu_c),
-                    "mu_bruteforce": texts[b],
-                    "total": _ratio_text(*total),
-                    "agree": mu_c == (p, q) and total == (k, 1),
-                }
-            )
-    return rows
 
 
 def render_sweep(rows: list[dict], fmt: str) -> str:

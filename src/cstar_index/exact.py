@@ -9,7 +9,8 @@ A sum is evaluated in the integer group ring Z[x]/(x^N - 1): for x^N = 1,
 x != 1 the identity 1/(1 - x) = -(1/N) sum_{i<N} (i+1) x^i turns every term
 into integer-weighted powers of zeta, which accumulate into one exponent
 histogram.  Every sum is first brought to normal weight 1 by substituting
-k -> a^(-1) k, so one cache serves every normal weight.  One helper,
+k -> a^(-1) k, so one cache, of up to 1024 sums, serves every normal
+weight; Phi_N is memoized up to 1024 orders as well.  One helper,
 _certified_sums, reduces a histogram modulo the monic N-th cyclotomic
 polynomial Phi_N to its coefficients in the power basis 1, zeta, ...,
 zeta^(phi(N)-1), by a fold and the integer long division that also builds
@@ -117,7 +118,7 @@ def _least_prime(n: int) -> int:
     return next((p for p in range(2, isqrt(n) + 1) if n % p == 0), n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """N-th cyclotomic polynomial as ascending integer coefficients.
 
@@ -175,7 +176,7 @@ def _certified_sums(n: int, hists: np.ndarray, residues) -> tuple[Fraction, ...]
 _HIST_BLOCK = 2**20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _point_sum(n: int, b: int) -> Fraction:
     """Exact (1/n) sum_{k=1}^{n-1} zeta^(bk) / (1 - zeta^(-k)).
 

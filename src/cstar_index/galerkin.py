@@ -172,7 +172,7 @@ def _beta_moment(p: int, s: int) -> Fraction:
     return Fraction(factorial(p) * factorial(s - p - 2), factorial(s - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _float_moments(s: int) -> np.ndarray:
     """The floats of _beta_moment(c, s) for c = 0..s-2, read-only.
 

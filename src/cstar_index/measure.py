@@ -194,7 +194,7 @@ def radial_density(r, params: FiberMeasureParams):
     arr = np.asarray(r, dtype=float)
     if arr.ndim == 0:
         return _density_at(float(arr), params)
-    if not np.all((arr >= 0.0) & (arr < np.inf)):
+    if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise ValueError(_BAD_RADIUS)
     x = arr * arr
     a = params.a

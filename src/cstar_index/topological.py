@@ -6,6 +6,9 @@ test family the correction also has a closed form in floor arithmetic, and
 keeping both routes independent is the whole point: the brute-force sum
 exercises the field arithmetic, the closed form exercises nothing but
 integer division, and the identity checks play them against each other.
+
+sweep_rows builds the CLI's grid of such checks, with one set of residue
+terms (point sum, closed form, their texts and their agreement) per order.
 """
 
 from __future__ import annotations
@@ -13,8 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .analytic import _check_family_args, analytic_index
-from .exact import Rational, lefschetz_point_sum
+from .analytic import _check_family_args, analytic_index, kappa
+from .exact import (
+    Rational,
+    _order_point_sums,
+    _ratio_text,
+    format_rational,
+    lefschetz_point_sum,
+)
 from .model import IndexReport, KawasakiCurveSpec, example_to_kawasaki
 
 __all__ = [
@@ -99,3 +108,38 @@ def verify_identity(l: int, m: int) -> IndexReport:
         topological_total=total,
         agree=(Fraction(analytic) == total),
     )
+
+
+def sweep_rows(l_max: int, m_max: int) -> list[dict]:
+    """All grid rows, l-major then m-minor, keyed and ordered by column.
+
+    Each residue b's terms come once per order: the point sum from one
+    _order_point_sums call, and the closed form _mu_closed_ratio(l, b), which
+    is that of every m = b mod l, since 2 (l floor(m/l) - m) = -2 b.  A row
+    evaluates kappa, the smooth term and the total as reduced integer pairs,
+    so no row builds a Fraction.  No argument check.
+    """
+    rows = []
+    for l in range(2, l_max + 1):
+        terms = []  # per residue: mu_b as a reduced pair, its text, mu_closed's text, agree
+        for b, mu in enumerate(_order_point_sums(l, min(l, m_max + 1))):
+            mu_b, mu_c = (mu.numerator, mu.denominator), _mu_closed_ratio(l, b)
+            terms.append((mu_b, format_rational(mu), _ratio_text(*mu_c), mu_c == mu_b))
+        for m in range(m_max + 1):
+            (p, q), mu_text, closed_text, same = terms[m % l]
+            k = kappa(l, m)
+            hrr = _hrr_ratio(l, m)
+            total = _reduced(hrr[0] * q + 2 * p * hrr[1], hrr[1] * q)  # hrr + 2 mu_b
+            rows.append(
+                {
+                    "l": l,
+                    "m": m,
+                    "kappa": k,
+                    "hrr": _ratio_text(*hrr),
+                    "mu_closed": closed_text,
+                    "mu_bruteforce": mu_text,
+                    "total": _ratio_text(*total),
+                    "agree": same and total == (k, 1),
+                }
+            )
+    return rows

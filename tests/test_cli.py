@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface and its exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -13,12 +14,12 @@ from pathlib import Path
 import pytest
 
 import cstar_index
-from cstar_index import exact, galerkin
+from cstar_index import cli, exact, galerkin, topological
 from cstar_index.analytic import kappa
-from cstar_index.cli import build_parser, main, render_sweep, sweep_rows
+from cstar_index.cli import build_parser, main, render_sweep
 from cstar_index.exact import format_rational
 from cstar_index.model import example_to_kawasaki, kawasaki_to_json_dict
-from cstar_index.topological import hrr_term, mu_bruteforce, mu_closed
+from cstar_index.topological import hrr_term, mu_bruteforce, mu_closed, sweep_rows
 
 
 def run_cli(capsys, argv):
@@ -123,11 +124,46 @@ def _sweep_row(l, m):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_matches_single_sum_rows(capsys, fmt):
     # the rows built from every residue of an order at once, in integer
-    # pairs, print byte for byte what the single sums in Fractions give
-    rows = [_sweep_row(l, m) for l in range(2, 41) for m in range(91)]
-    code, out, err = run_cli(capsys, ["sweep", "--l-max", "40", "--m-max", "90", "--format", fmt])
-    assert (code, err) == (0, "")
-    assert out == render_sweep(rows, fmt)
+    # pairs, print byte for byte what the single sums in Fractions give; on
+    # the second grid most orders have more residues than rows
+    for l_max, m_max in [(40, 90), (60, 7)]:
+        rows = [_sweep_row(l, m) for l in range(2, l_max + 1) for m in range(m_max + 1)]
+        argv = ["sweep", "--l-max", str(l_max), "--m-max", str(m_max), "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == render_sweep(rows, fmt)
+
+
+@pytest.mark.parametrize("l_max, m_max", [(29, 65), (60, 7), (2, 0)])
+def test_sweep_reads_each_closed_form_once_per_residue(monkeypatch, l_max, m_max):
+    # the closed form reads only m mod l, so a sweep evaluates it once per
+    # (order, residue) and not once per row
+    calls = []
+    closed = topological._mu_closed_ratio
+
+    def counted(l, b):
+        calls.append((l, b))
+        return closed(l, b)
+
+    monkeypatch.setattr(topological, "_mu_closed_ratio", counted)
+    rows = sweep_rows(l_max, m_max)
+    assert len(rows) == (l_max - 1) * (m_max + 1)
+    assert sorted(calls) == [(l, b) for l in range(2, l_max + 1) for b in range(min(l, m_max + 1))]
+
+
+def test_cli_imports_no_private_name_of_the_computing_modules():
+    # the CLI parses, renders and maps errors; exact and topological keep
+    # their helpers to themselves
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rsplit(".", 1)[-1] in ("exact", "topological")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_sweep_point_sums_match_verify(capsys):
@@ -329,7 +365,7 @@ def test_heat_rejects_nonfinite_time(capsys, monkeypatch, t):
     "argv, module, name",
     [
         (["heat", "--d", "2", "--K", "1"], "galerkin", "_float_moments"),
-        (["sweep", "--l-max", "3", "--m-max", "1"], "cli", "_mu_closed_ratio"),
+        (["sweep", "--l-max", "3", "--m-max", "1"], "topological", "_mu_closed_ratio"),
     ],
 )
 def test_program_fault_is_not_a_bad_argument(argv, module, name):

@@ -294,6 +294,7 @@ def test_every_normal_weight_shares_the_weight_one_sums():
     lefschetz_point_sum(7, 1, 3)
     info = exact._point_sum.cache_info()
     assert (info.hits, info.currsize) == (1, 1)
+    assert info.maxsize == exact.cyclotomic_polynomial.cache_info().maxsize == 1024
 
 
 def test_reciprocal_sum_shares_the_weight_one_sum():

@@ -479,6 +479,7 @@ def test_each_distinct_d_block_is_ranked_once(monkeypatch):
 def test_d_block_cache_is_bounded_and_read_only():
     assert galerkin._d_block.cache_info().maxsize == 1024
     assert galerkin._hankel_index.cache_info().maxsize == 1024
+    assert galerkin._float_moments.cache_info().maxsize == 1024
     problem = GalerkinProblem(d=3, K=4)
     for _, bs, betas, d_block, _, _ in galerkin._weight_blocks(problem):
         # the walk yields the cached triple itself, which nothing can alter

@@ -62,10 +62,13 @@ def test_radial_density_vectorized_and_validated():
     vals = radial_density(r, p)
     assert vals.shape == r.shape
     assert np.all(vals >= 0)
-    for bad in (-0.1, math.nan, math.inf):
+    for bad in (-0.1, -1e-300, math.nan, math.inf):
         for r in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad, 2.0])):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 radial_density(r, p)
+    # -0.0 is a nonnegative radius, and an empty batch has no bad one
+    assert radial_density(np.array([-0.0, 0.5]), p)[0] == 0.0
+    assert radial_density(np.array([]), p).shape == (0,)
 
 
 @pytest.mark.parametrize("cutoff", list(Cutoff))

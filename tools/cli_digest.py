@@ -11,8 +11,8 @@ One line per case: the sha256 of its (stdout, stderr, exit code), the exit
 code, and the arguments.  Two checkouts print the same bytes exactly when
 every case is byte-identical, so `diff` the two files.
 
-The list holds 27 `heat`, 11 `verify`, 7 `sweep`, 8 `kawasaki` and 42
-`measure` cases, 95 in all: successes, refused arguments (exit 2),
+The list holds 27 `heat`, 11 `verify`, 9 `sweep`, 8 `kawasaki` and 42
+`measure` cases, 97 in all: successes, refused arguments (exit 2),
 divergent measures (exit 4) and numerical breakdowns (exit 5), among them
 the Gram Cholesky cliffs `heat --d 20 --K 26` and `--d 200 --K 10`.
 """
@@ -96,6 +96,8 @@ SWEEP = [
     "--l-max 12 --m-max 20 --format json",
     "--l-max 40 --m-max 90",
     "--l-max 200 --m-max 400",
+    "--l-max 60 --m-max 7",
+    "--l-max 60 --m-max 7 --format json",
     "--l-max 1 --m-max 5",
 ]
 
