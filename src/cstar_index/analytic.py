@@ -17,8 +17,12 @@ __all__ = [
 ]
 
 
-def _check_family_args(l: int, m: int) -> None:
-    # the exact type, so that bool, an int subclass, is refused
+def check_family_args(l: int, m: int) -> None:
+    """Refuse a family member (l, m) unless l >= 2 and m >= 0 are ints.
+
+    The check is on the exact type, so that bool, an int subclass, is
+    refused.  Not in __all__: it serves the package's modules and its CLI.
+    """
     if type(l) is not int or l < 2:
         raise ValueError(f"l must be an integer >= 2, got {l!r}")
     if type(m) is not int or m < 0:
@@ -44,7 +48,7 @@ def kappa(l: int, m: int) -> int:
     congruent to m modulo l, so the count is the number of integers n >= 0
     with m - l*n >= 0 and m + l*n <= 2m, namely 2*floor(m/l) + 1.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     return 1 + 2 * (m // l)
 
 
@@ -55,7 +59,7 @@ def h1_equivariant(l: int, m: int) -> int:
     -(2m + 2)/l < 0 on the quotient, equivalently with polynomials of
     negative degree on the chart, of which there are none.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     return 0
 
 

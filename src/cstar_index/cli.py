@@ -29,25 +29,23 @@ run to run only with that count fixed (e.g. OPENBLAS_NUM_THREADS=1).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from functools import lru_cache
 
-from .analytic import _check_family_args
+from .analytic import check_family_args
 from .exact import OrderTooLargeError, format_rational, lefschetz_point_sum
 from .galerkin import (
-    _HEAT_TIMES,
+    HEAT_TIMES,
     EquivariantRestriction,
     GalerkinProblem,
     NonFiniteSupertrace,
     NumericalBreakdown,
-    _check_heat_times,
+    check_heat_times,
     supertrace,
 )
 from .measure import (
-    _MAX_SUBDIVISIONS,
+    MAX_SUBDIVISIONS,
     DivergenceDetected,
     FiberMeasureParams,
     QuadratureConfig,
@@ -57,7 +55,7 @@ from .measure import (
     unity_check,
 )
 from .model import SCHEMA_VERSION, ValidationError, kawasaki_from_json_dict
-from .topological import kawasaki_index, sweep_rows, verify_identity
+from .topological import SWEEP_COLUMNS, kawasaki_index, sweep_rows, verify_identity
 
 __all__ = [
     "cmd_verify",
@@ -82,7 +80,7 @@ def _fail(message, code: int = 2) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        _check_family_args(args.l, args.m)
+        check_family_args(args.l, args.m)
     except ValueError as exc:
         return _fail(exc)
     report = verify_identity(args.l, args.m)
@@ -106,18 +104,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def render_sweep(rows: list[dict], fmt: str) -> str:
-    """Non-empty sweep rows as CSV (the keys as header, agree as true/false) or JSON."""
+def render_sweep(rows: list[tuple], fmt: str) -> str:
+    """Sweep rows as CSV (SWEEP_COLUMNS as header, agree as true/false) or JSON.
+
+    No CSV field needs quoting: each is an int, a "p/q" text or true/false.
+    """
     if fmt == "json":
-        return json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows}, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    for row in rows:
-        cells = list(row.values())
-        cells[-1] = "true" if cells[-1] else "false"
-        writer.writerow(cells)
-    return buf.getvalue()
+        doc = {"schema_version": SCHEMA_VERSION, "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]}
+        return json.dumps(doc, sort_keys=True) + "\n"
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [
+        f"{l},{m},{k},{hrr},{mu_c},{mu_b},{total},{'true' if agree else 'false'}"
+        for l, m, k, hrr, mu_c, mu_b, total, agree in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
                 fh.write(text)
         except OSError as exc:
             return _fail(f"cannot write {args.out}: {exc}", 3)
-    return 0 if all(row["agree"] for row in rows) else 1
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def cmd_heat(args) -> int:
         # the restriction refuses l < 2 and reduces the label mod l
         restriction = None if args.l is None else EquivariantRestriction(l=args.l, label=args.m)
         problem = GalerkinProblem(d=d, K=args.K, equivariance=restriction)
-        _check_heat_times(args.t)
+        check_heat_times(args.t)
     except ValueError as exc:
         return _fail(exc)
     report = supertrace(problem, tuple(args.t))
@@ -259,7 +259,7 @@ def cmd_measure(args) -> int:
         "measure_total_defect": None if axioms is None else axioms.measure_total_defect,
         "tolerances": {
             "rel_tolerance": quad.rel_tolerance,
-            "max_subdivisions": _MAX_SUBDIVISIONS,
+            "max_subdivisions": MAX_SUBDIVISIONS,
             "angular_nodes": quad.angular_nodes,
         },
     }
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--K", type=int, required=True)
     p_heat.add_argument("--l", type=int, default=None)
     p_heat.add_argument("--m", type=int, default=None)
-    p_heat.add_argument("--t", type=float, nargs="+", default=_HEAT_TIMES)
+    p_heat.add_argument("--t", type=float, nargs="+", default=HEAT_TIMES)
     p_heat.add_argument("--json", action="store_true")
 
     p_measure = sub.add_parser("measure", help="fiber measure diagnostics")

@@ -10,26 +10,36 @@ x != 1 the identity 1/(1 - x) = -(1/N) sum_{i<N} (i+1) x^i turns every term
 into integer-weighted powers of zeta, which accumulate into one exponent
 histogram.  Every sum is first brought to normal weight 1 by substituting
 k -> a^(-1) k, so one cache, of up to 1024 sums, serves every normal
-weight; Phi_N is memoized up to 1024 orders as well.  One helper,
-_certified_sums, reduces a histogram modulo the monic N-th cyclotomic
-polynomial Phi_N to its coefficients in the power basis 1, zeta, ...,
-zeta^(phi(N)-1), by a fold and the integer long division that also builds
-Phi_N as Phi_M(x^p) / Phi_M(x), p the largest prime factor of N and M = N/p
-(no division when p divides M).  Phi_N is irreducible over Q, so that basis
-is linearly independent over Q: the sum is rational exactly when every
-integer coefficient beyond the constant term vanishes, and the constant term
-then gives its value.  A single sum needs O(N) memory beyond one histogram
-block.  A sweep over every residue b of an order N counts once how often
-each product k j hits each exponent and reads every residue's histogram off
-that N x N count matrix in O(N^2), instead of one (k, i) table per residue.
-That route is capped at N^2 <= _HIST_BLOCK entries (N <= 1024), where it
-needs a few block-sized arrays; larger orders are summed one residue at a
-time.  Either way no table is kept per order besides Phi_N itself.
+weight.  One helper, _certified_sums, reduces histograms to coordinates in
+the CRT tensor basis of Z[zeta_N], with no division by Phi_N.  With
+N = q_1 ... q_k, q_i = p_i^(a_i) its prime-power factors, the Chinese
+remainder theorem gives Z[C_N] = (x) Z[C_(q_i)] and Z[zeta_N] = (x)
+Z[zeta_(q_i)], since cyclotomic fields of coprime orders are linearly
+disjoint (Washington, Introduction to Cyclotomic Fields, ch. 2).  Entry e
+of a histogram goes to (e mod q_1, ..., e mod q_k); on each axis
+Phi_q(x) = sum_{j<p} x^(j q/p), so the top block of q/p entries folds into
+the others by one int64 subtraction, for every histogram at once.  The
+result is the coordinate vector in the product of the power bases 1, zeta_q,
+..., zeta_q^(phi(q)-1), a Z-basis of Z[zeta_N] that contains 1: a sum is
+rational exactly when every coordinate but (0, ..., 0) vanishes, and that
+one gives its value.  A fold at most doubles the largest magnitude and the
+histogram entries stay below 2 N^3, so every coordinate is below
+2^omega(N) 2 N^3 < 2^63 under the order guard (N <= 2^18, omega(N) <= 6).
+The placement is one permutation per composite order, cached for up to 1024
+orders; a prime power needs none.  A single sum needs O(N) memory beyond
+one histogram block.  A sweep over every residue b of an order N counts
+once how often each product k j hits each exponent and reads every
+residue's histogram off that N x N count matrix in O(N^2), instead of one
+(k, i) table per residue.  That route is capped at N^2 <= _HIST_BLOCK
+entries (N <= 1024), where it needs a few block-sized arrays; larger orders
+are summed one residue at a time.
 
-General field arithmetic in Q(zeta_N), with an extended-Euclid inverse, is
-kept outside the package as the test suite's oracle
-(tests/_cyclotomic_field.py); the tests check these sums term by term
-against it.
+cyclotomic_polynomial builds Phi_N by exact integer long division and is
+public, but no point sum consults it: with _poly_divmod it is the tests'
+oracle for the CRT coordinates.  General field arithmetic in Q(zeta_N), with
+an extended-Euclid inverse, is kept outside the package as the test suite's
+oracle as well (tests/_cyclotomic_field.py); the tests check these sums term
+by term against it.
 """
 
 from __future__ import annotations
@@ -145,32 +155,61 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=1024)
+def _crt_layout(n: int) -> tuple[np.ndarray | None, tuple[tuple[int, int], ...]]:
+    """The prime-power factors (q, p) of n >= 2 and the CRT placement of entries.
+
+    The placement is a read-only permutation: column j of hists[:, perm] is
+    the entry e whose (e mod q_1, ..., e mod q_k) is the j-th index in
+    row-major order.  A prime power has the identity and gets None.
+    """
+    factors, rest = [], n
+    while rest > 1:
+        p = q = _least_prime(rest)
+        while (rest := rest // p) % p == 0:
+            q *= p
+        factors.append((q, p))
+    if len(factors) == 1:
+        return None, tuple(factors)
+    e, place = np.arange(n), 0
+    for q, _ in factors:
+        place = place * q + e % q  # row-major index of (e mod q_1, ..., e mod q_k)
+    perm = np.empty(n, dtype=np.intp)
+    perm[place] = e
+    perm.flags.writeable = False
+    return perm, tuple(factors)
+
+
+def _crt_coordinates(n: int, hists: np.ndarray) -> np.ndarray:
+    """The int64 histograms' coordinates in the CRT tensor basis of Z[zeta_n].
+
+    One row of phi(n) coordinates per histogram, row-major over the axes of
+    the prime powers q; the constant coordinate is column 0.  Each axis folds
+    its top block of q/p entries into the other p - 1 blocks, since
+    Phi_q(x) = sum_{j<p} x^(j q/p); see the module docstring for the bound.
+    """
+    perm, factors = _crt_layout(n)
+    coords = hists if perm is None else hists[:, perm]
+    tail = n
+    for q, p in factors:
+        tail //= q  # entries per step of this axis's index
+        blocks = coords.reshape(-1, p, q // p * tail)
+        coords = blocks[:, :-1] - blocks[:, -1:]
+    return coords.reshape(len(hists), -1)
+
+
 def _certified_sums(n: int, hists: np.ndarray, residues) -> tuple[Fraction, ...]:
     """The point sums -c_0 / n^2 of the residues b from their int64 histograms.
 
-    hists has one histogram per row, in the order of residues, and c is a
-    row reduced modulo Phi_n.  The rows are first folded modulo
-    F = (x^n - 1)/(x^(n/q) - 1) = sum_{j<q} x^(j n/q), q the least prime
-    factor of n: Phi_n divides F, since it shares no root with x^(n/q) - 1,
-    so the fold keeps the class modulo Phi_n.  The fold is one int64
-    subtraction of the top block of n/q coefficients from the others, for
-    every row at once.  Long division by Phi_n on Python ints finishes each
-    row, with no step for a prime or prime-power n.  A sum is rational
-    exactly when its c vanishes beyond the constant term (NotRationalError
-    otherwise).
+    hists has one histogram per row, in the order of residues, and c is its
+    row of _crt_coordinates.  A sum is rational exactly when its c vanishes
+    beyond the constant coordinate (NotRationalError otherwise).
     """
-    blocks = hists.reshape(len(hists), _least_prime(n), -1)
-    folded = (blocks[:, :-1] - blocks[:, -1:]).reshape(len(hists), -1)
-    phi = cyclotomic_polynomial(n)
-    sums = []
-    for b, row in zip(residues, folded):
-        _, coeffs = _poly_divmod(row.tolist(), phi)
-        if any(coeffs[1:]):
-            raise NotRationalError(
-                f"point sum ({n}, 1, {b}) has nonzero higher coefficients: {list(coeffs)}"
-            )
-        sums.append(Fraction(-coeffs[0], n * n))
-    return tuple(sums)
+    coords = _crt_coordinates(n, hists)
+    if coords[:, 1:].any():
+        b = residues[int(coords[:, 1:].any(axis=1).argmax())]
+        raise NotRationalError(f"point sum ({n}, 1, {b}) has a nonzero CRT coordinate beyond the constant one")
+    return tuple(Fraction(-c, n * n) for c in coords[:, 0].tolist())
 
 
 _HIST_BLOCK = 2**20
@@ -249,9 +288,9 @@ def lefschetz_point_sum(n: int, a: int, b: int) -> Fraction:
     weight on the normal direction (must be a unit mod N so every nontrivial
     k gives a nonzero denominator), and b is the bundle weight.  The sum is
     invariant under every Galois automorphism (it permutes the terms), hence
-    rational.  It is computed exactly as an integer power-basis vector modulo
-    Phi_N and certified rational on those integers (NotRationalError
-    otherwise) before any rounding can occur.  Substituting k -> a^(-1) k,
+    rational.  It is computed exactly as integer coordinates in the CRT
+    tensor basis of Z[zeta_N] and certified rational on those integers
+    (NotRationalError otherwise) before any rounding can occur.  Substituting k -> a^(-1) k,
     which permutes the nontrivial k, turns the sum into the one with normal
     weight 1 and bundle weight b a^(-1) mod N, so every normal weight shares
     the cached sums of weight 1.

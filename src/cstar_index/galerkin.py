@@ -52,7 +52,7 @@ from math import factorial, gcd, isfinite
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .analytic import _check_family_args
+from .analytic import check_family_args
 
 __all__ = [
     "NumericalBreakdown",
@@ -398,17 +398,19 @@ def laplacian_pairing_defect(problem: GalerkinProblem) -> float:
     return supertrace(problem, ()).pairing_defect
 
 
-_HEAT_TIMES = (0.05, 0.5, 5.0)
+# supertrace's default heat times, which the CLI shares; like
+# check_heat_times, public to the package's modules but not in __all__
+HEAT_TIMES = (0.05, 0.5, 5.0)
 
 
-def _check_heat_times(t_values) -> None:
+def check_heat_times(t_values) -> None:
     """Refuse a heat time that is negative, NaN or infinite."""
     if not all(isfinite(t) and t >= 0 for t in t_values):
         raise ValueError("heat time must be nonnegative and finite")
 
 
 def supertrace(
-    problem: GalerkinProblem, t_values: tuple[float, ...] = _HEAT_TIMES
+    problem: GalerkinProblem, t_values: tuple[float, ...] = HEAT_TIMES
 ) -> SpectralReport:
     """Exact index data, heat supertrace samples str(t) and the pairing defect.
 
@@ -417,7 +419,7 @@ def supertrace(
     every sample should reproduce ker - coker regardless of t.  A sample that
     is not finite raises NonFiniteSupertrace.
     """
-    _check_heat_times(t_values)
+    check_heat_times(t_values)
     rank, evals_v, evals_w, sigma = _block_spectra(problem)
     samples = []
     for t in t_values:
@@ -444,7 +446,7 @@ def equivariant_block_index(l: int, m: int, K: int) -> int:
     a congruent to m modulo l, so the result should match the section count
     of the order-l quotient family at parameter m.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     problem = GalerkinProblem(
         d=2 * m, K=K, equivariance=EquivariantRestriction(l=l, label=m % l)
     )

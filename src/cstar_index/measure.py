@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_MAX_SUBDIVISIONS = 12
+MAX_SUBDIVISIONS = 12  # the radial walk's doubling budget, which the CLI prints
 _MIN_REL_TOLERANCE = 1000 * np.finfo(float).eps
 _BAD_RADIUS = "radius must be finite and nonnegative"
 
@@ -262,14 +262,14 @@ def _refine(f, lo: float, hi: float, tol_abs: float, vals: dict):
     The doubling starts from a single panel and stops at the first pair of
     successive estimates within tol_abs, returning the finer one, so the
     error estimate alone sets the size of the rule: there is no floor on
-    the panel count.  The finest rule tried has 2**(_MAX_SUBDIVISIONS + 1)
+    the panel count.  The finest rule tried has 2**(MAX_SUBDIVISIONS + 1)
     panels.  vals maps (lo, hi, n) to the n-panel estimate; a level it
     lacks costs one call of f, which 1 and 2 panels share.
     """
     _panel_integrals(f, [(lo, hi, 1), (lo, hi, 2)], vals)
     n = 1
     prev = vals[lo, hi, n]
-    for _ in range(_MAX_SUBDIVISIONS + 1):
+    for _ in range(MAX_SUBDIVISIONS + 1):
         n *= 2
         cur = _panel_integrals(f, [(lo, hi, n)], vals)[lo, hi, n]
         if abs(cur - prev) <= tol_abs:

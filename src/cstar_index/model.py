@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any
 
-from .analytic import _check_family_args
+from .analytic import check_family_args
 from .exact import Rational, format_rational, parse_rational
 
 SCHEMA_VERSION = 1
@@ -125,7 +125,7 @@ def example_to_kawasaki(l: int, m: int) -> KawasakiCurveSpec:
     because inverting the chart coordinate conjugates the isotropy
     character, which permutes the summation range.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     point = FixedPointDatum(isotropy_order=l, normal_weight=1, bundle_weight=m % l)
     return KawasakiCurveSpec(
         smooth_term=Fraction(2 * m + 1, l),

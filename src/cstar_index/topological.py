@@ -8,7 +8,8 @@ exercises the field arithmetic, the closed form exercises nothing but
 integer division, and the identity checks play them against each other.
 
 sweep_rows builds the CLI's grid of such checks, with one set of residue
-terms (point sum, closed form, their texts and their agreement) per order.
+terms (point sum, closed form, smooth term and total, their texts and their
+agreement) per order, and one tuple per row in SWEEP_COLUMNS order.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .analytic import _check_family_args, analytic_index, kappa
+from .analytic import analytic_index, check_family_args, kappa
 from .exact import (
     Rational,
     _order_point_sums,
     _ratio_text,
-    format_rational,
     lefschetz_point_sum,
 )
 from .model import IndexReport, KawasakiCurveSpec, example_to_kawasaki
@@ -53,7 +53,7 @@ def _mu_closed_ratio(l: int, m: int) -> tuple[int, int]:
 
 def hrr_term(l: int, m: int) -> Rational:
     """Smooth Riemann-Roch contribution (2m + 1)/l of the quotient curve."""
-    _check_family_args(l, m)
+    check_family_args(l, m)
     return Fraction(*_hrr_ratio(l, m))
 
 
@@ -62,7 +62,7 @@ def mu_closed(l: int, m: int) -> Rational:
 
     Integer division only, no field arithmetic involved.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     return Fraction(*_mu_closed_ratio(l, m))
 
 
@@ -72,7 +72,7 @@ def mu_bruteforce(l: int, m: int) -> Rational:
     Equals (1/l) * sum_{k=1}^{l-1} zeta^(km) / (1 - zeta^(-k)); only the
     residue of m modulo l enters.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     return lefschetz_point_sum(l, 1, m % l)
 
 
@@ -93,7 +93,7 @@ def verify_identity(l: int, m: int) -> IndexReport:
     bug in either the closed form or the field arithmetic cannot cancel
     silently; the closed form is cross-checked separately in the tests.
     """
-    _check_family_args(l, m)
+    check_family_args(l, m)
     analytic = analytic_index(l, m)
     kspec = example_to_kawasaki(l, m)
     point_values = tuple(
@@ -110,36 +110,36 @@ def verify_identity(l: int, m: int) -> IndexReport:
     )
 
 
-def sweep_rows(l_max: int, m_max: int) -> list[dict]:
-    """All grid rows, l-major then m-minor, keyed and ordered by column.
+# the fields of a sweep row, in order: the CSV header and the JSON keys
+SWEEP_COLUMNS = ("l", "m", "kappa", "hrr", "mu_closed", "mu_bruteforce", "total", "agree")
+
+
+def sweep_rows(l_max: int, m_max: int) -> list[tuple]:
+    """All grid rows, l-major then m-minor, as tuples in SWEEP_COLUMNS order.
 
     Each residue b's terms come once per order: the point sum from one
-    _order_point_sums call, and the closed form _mu_closed_ratio(l, b), which
-    is that of every m = b mod l, since 2 (l floor(m/l) - m) = -2 b.  A row
-    evaluates kappa, the smooth term and the total as reduced integer pairs,
-    so no row builds a Fraction.  No argument check.
+    _order_point_sums call, the closed form _mu_closed_ratio(l, b), which is
+    that of every m = b mod l, since 2 (l floor(m/l) - m) = -2 b, and the
+    smooth term and total at m = b as reduced integer pairs.  The row of
+    m = b + l t adds the integer 2 t to both, which keeps them reduced, and
+    compares the total with kappa(l, m), evaluated on every row.  Texts are
+    "p/q" or "p" and agree is a bool, so no row builds a Fraction.  No
+    argument check.
     """
     rows = []
     for l in range(2, l_max + 1):
-        terms = []  # per residue: mu_b as a reduced pair, its text, mu_closed's text, agree
+        terms = []  # per residue: hrr, mu_closed's text, mu_b's text, mu_closed == mu_b, total
         for b, mu in enumerate(_order_point_sums(l, min(l, m_max + 1))):
-            mu_b, mu_c = (mu.numerator, mu.denominator), _mu_closed_ratio(l, b)
-            terms.append((mu_b, format_rational(mu), _ratio_text(*mu_c), mu_c == mu_b))
+            p, q = mu.numerator, mu.denominator
+            (hn, hd), mu_c = _hrr_ratio(l, b), _mu_closed_ratio(l, b)
+            total = _reduced(hn * q + 2 * p * hd, hd * q)  # hrr + 2 mu_b
+            terms.append(((hn, hd), _ratio_text(*mu_c), _ratio_text(p, q), mu_c == (p, q), total))
         for m in range(m_max + 1):
-            (p, q), mu_text, closed_text, same = terms[m % l]
+            t, b = divmod(m, l)
+            (hn, hd), closed_text, mu_text, same, (tn, td) = terms[b]
             k = kappa(l, m)
-            hrr = _hrr_ratio(l, m)
-            total = _reduced(hrr[0] * q + 2 * p * hrr[1], hrr[1] * q)  # hrr + 2 mu_b
-            rows.append(
-                {
-                    "l": l,
-                    "m": m,
-                    "kappa": k,
-                    "hrr": _ratio_text(*hrr),
-                    "mu_closed": closed_text,
-                    "mu_bruteforce": mu_text,
-                    "total": _ratio_text(*total),
-                    "agree": same and total == (k, 1),
-                }
-            )
+            tn += 2 * t * td
+            hrr = _ratio_text(hn + 2 * t * hd, hd)
+            agree = same and (tn, td) == (k, 1)
+            rows.append((l, m, k, hrr, closed_text, mu_text, _ratio_text(tn, td), agree))
     return rows

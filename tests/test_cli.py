@@ -16,7 +16,7 @@ import pytest
 import cstar_index
 from cstar_index import cli, exact, galerkin, topological
 from cstar_index.analytic import kappa
-from cstar_index.cli import build_parser, main, render_sweep
+from cstar_index.cli import build_parser, main
 from cstar_index.exact import format_rational
 from cstar_index.model import example_to_kawasaki, kawasaki_to_json_dict
 from cstar_index.topological import hrr_term, mu_bruteforce, mu_closed, sweep_rows
@@ -121,17 +121,30 @@ def _sweep_row(l, m):
     }
 
 
+def _render_with_stdlib(rows, fmt):
+    """Oracle rows as the standard library writes them: csv.writer or json.dumps."""
+    if fmt == "json":
+        return json.dumps({"schema_version": 1, "rows": rows}, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows([*row.values()][:-1] + ["true" if row["agree"] else "false"] for row in rows)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_matches_single_sum_rows(capsys, fmt):
     # the rows built from every residue of an order at once, in integer
-    # pairs, print byte for byte what the single sums in Fractions give; on
-    # the second grid most orders have more residues than rows
+    # pairs, and written line by line print byte for byte what the single
+    # sums in Fractions give through the standard library's writers; on the
+    # second grid most orders have more residues than rows
     for l_max, m_max in [(40, 90), (60, 7)]:
         rows = [_sweep_row(l, m) for l in range(2, l_max + 1) for m in range(m_max + 1)]
         argv = ["sweep", "--l-max", str(l_max), "--m-max", str(m_max), "--format", fmt]
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (0, "")
-        assert out == render_sweep(rows, fmt)
+        assert out == _render_with_stdlib(rows, fmt)
+    assert list(rows[0]) == list(topological.SWEEP_COLUMNS)
 
 
 @pytest.mark.parametrize("l_max, m_max", [(29, 65), (60, 7), (2, 0)])
@@ -152,27 +165,22 @@ def test_sweep_reads_each_closed_form_once_per_residue(monkeypatch, l_max, m_max
 
 
 def test_cli_imports_no_private_name_of_the_computing_modules():
-    # the CLI parses, renders and maps errors; exact and topological keep
+    # the CLI parses, renders and maps errors; the computing modules keep
     # their helpers to themselves
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    private = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.module or "").rsplit(".", 1)[-1] in ("exact", "topological")
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert {node.module for node in imports} == {"exact", "model", "analytic", "topological", "galerkin", "measure"}
+    private = [(node.module, alias.name) for node in imports for alias in node.names if alias.name.startswith("_")]
     assert private == []
 
 
 def test_sweep_point_sums_match_verify(capsys):
     rows = sweep_rows(12, 30)
-    for row in rows:
-        code, out, _ = run_cli(capsys, ["verify", "--l", str(row["l"]), "--m", str(row["m"]), "--json"])
+    for l, m, _, _, _, mu_b, _, _ in rows:
+        code, out, _ = run_cli(capsys, ["verify", "--l", str(l), "--m", str(m), "--json"])
         assert code == 0
         points = json.loads(out)["topological_points"]
-        assert points == [row["mu_bruteforce"]] * 2, (row["l"], row["m"])
+        assert points == [mu_b] * 2, (l, m)
 
 
 def test_sweep_to_file_and_unwritable_path(tmp_path, capsys):
@@ -308,11 +316,11 @@ def test_heat_rejects_isotropy_order_below_two(capsys, l):
 
 def test_verify_order_past_the_guard_exit_code(capsys, monkeypatch):
     # an order whose point sums cannot be exact is refused with exit 5,
-    # before Phi_N is built, not ended in an OverflowError traceback
+    # before its CRT layout is built, not ended in an OverflowError traceback
     def no_build(order):
-        raise AssertionError(f"Phi_{order} was built past the order guard")
+        raise AssertionError(f"the CRT layout of {order} was built past the order guard")
 
-    monkeypatch.setattr(exact, "cyclotomic_polynomial", no_build)
+    monkeypatch.setattr(exact, "_crt_layout", no_build)
     code, out, err = run_cli(capsys, ["verify", "--l", "262145", "--m", "0"])
     assert code == 5
     assert out == ""

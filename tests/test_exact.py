@@ -295,6 +295,7 @@ def test_every_normal_weight_shares_the_weight_one_sums():
     info = exact._point_sum.cache_info()
     assert (info.hits, info.currsize) == (1, 1)
     assert info.maxsize == exact.cyclotomic_polynomial.cache_info().maxsize == 1024
+    assert exact._crt_layout.cache_info().maxsize == 1024
 
 
 def test_reciprocal_sum_shares_the_weight_one_sum():
@@ -315,33 +316,95 @@ _ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
-def test_point_sum_certificate_rejects_forged_coefficient(monkeypatch, route):
-    # Phi_12 forged to read 1 + x - x^2 + x^4: the remainder modulo it keeps
-    # nonzero higher coefficients, which the integer certificate must reject.
-    # The order is composite because a prime order's fold needs no division,
-    # so a forged Phi_7 would never be consulted
-    n = 12
-    monkeypatch.setattr(exact, "cyclotomic_polynomial", lambda order: (1, 1, -1, 0, 1))
+@pytest.mark.parametrize("e", [6, 28, 29])
+def test_point_sum_certificate_rejects_perturbed_histogram(monkeypatch, route, e):
+    # one more zeta^e in the last histogram handed to the certificate makes
+    # its sum irrational, and the refusal names the residue of that row.
+    # n = 30 = 2 * 3 * 5 folds three CRT axes: e = 6 at (0, 0, 1) and
+    # e = 28 at (0, 1, 3) are the first and the last coordinate beyond the
+    # constant one; e = 29 at (1, 2, 4) is in the top block of every axis
+    # and folds into all eight coordinates
+    n = 30
+    certify = exact._certified_sums
+
+    def perturbed(order, hists, residues):
+        hists = hists.copy()
+        hists[-1, e] += 1
+        return certify(order, hists, residues)
+
+    monkeypatch.setattr(exact, "_certified_sums", perturbed)
     exact._point_sum.cache_clear()
+    residue = {"single": 0, "order": n - 1}[route]
     try:
-        with pytest.raises(NotRationalError):
+        with pytest.raises(NotRationalError, match=rf"\({n}, 1, {residue}\)"):
             _ROUTES[route](n)
     finally:
         exact._point_sum.cache_clear()
+
+
+def _order_histograms(monkeypatch, n):
+    """The int64 histograms, one row per residue, that _order_point_sums certifies."""
+    seen = []
+    certify = exact._certified_sums
+
+    def recorded(order, hists, residues):
+        seen.append(hists)
+        return certify(order, hists, residues)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_certified_sums", recorded)
+        exact._order_point_sums(n, n)
+    (hists,) = seen
+    return hists
+
+
+@pytest.mark.parametrize(
+    "orders, step", [((*range(2, 120), 105, 210, 256), 1), ((1001,), 20)], ids=["all", "1001"]
+)
+def test_crt_constant_coordinate_is_the_remainder_modulo_phi(monkeypatch, orders, step):
+    # the long division by Phi_n is the oracle of the CRT certificate: on
+    # the histograms of the tests' orders (every 20th residue of 1001), the
+    # remainder is the constant coordinate and nothing beyond it
+    for n in orders:
+        hists = _order_histograms(monkeypatch, n)
+        coords = exact._crt_coordinates(n, hists)
+        assert coords.shape == (n, len(cyclotomic_polynomial(n)) - 1)
+        for b in range(0, n, step):
+            _, rem = exact._poly_divmod(hists[b].tolist(), cyclotomic_polynomial(n))
+            assert rem == (int(coords[b, 0]),) + (0,) * (len(rem) - 1), (n, b)
+            assert not coords[b, 1:].any(), (n, b)
+
+
+@pytest.mark.parametrize("n", [12, 30, 210, 243, 1001])
+def test_crt_coordinates_evaluate_to_the_histogram(n):
+    # on random, mostly irrational histograms: sum_e h[e] x^e at
+    # x = prod_i exp(2 pi i / q_i), a primitive n-th root, equals the
+    # coordinates summed against the products of powers of exp(2 pi i / q_i)
+    rng = np.random.default_rng(n)
+    hists = rng.integers(-50, 50, size=(3, n))
+    coords = exact._crt_coordinates(n, hists)
+    _, factors = exact._crt_layout(n)
+    assert math.prod(q for q, _ in factors) == n
+    x = np.exp(2j * np.pi * sum(1 / q for q, _ in factors))
+    basis = np.ones(1)
+    for q, p in factors:
+        basis = np.multiply.outer(basis, np.exp(2j * np.pi * np.arange(q - q // p) / q)).ravel()
+    want = hists @ x ** np.arange(n)
+    assert np.allclose(coords @ basis, want, rtol=0, atol=1e-8 * np.abs(hists).sum())
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_order_past_the_guard_raises_before_building(monkeypatch, route):
     # 2**18 + 1 is the least order whose histogram weight (n-1)n(n+1)/2
     # reaches 2**53, so its point sums cannot be exact; that must be known
-    # before Phi_n or the histogram is built
+    # before the CRT layout or the histogram is built
     n = 2**18 + 1
     assert (n - 2) * (n - 1) * n // 2 < 2**53 <= (n - 1) * n * (n + 1) // 2
 
     def no_build(order):
-        raise AssertionError(f"Phi_{order} was built past the order guard")
+        raise AssertionError(f"the CRT layout of {order} was built past the order guard")
 
-    monkeypatch.setattr(exact, "cyclotomic_polynomial", no_build)
+    monkeypatch.setattr(exact, "_crt_layout", no_build)
     with pytest.raises(OverflowError, match="too large") as exc:
         _ROUTES[route](n)
     assert isinstance(exc.value, exact.OrderTooLargeError)
@@ -411,7 +474,7 @@ def test_cold_point_sum_memory_is_bounded_by_histogram_blocks():
     # no per-order table: a cold sum needs a few block-sized arrays for the
     # histogram and O(n) for the reduction, not n * phi(n) entries
     n = 4006
-    exact.cyclotomic_polynomial(n)  # cached, and not part of the sum's cost
+    exact._crt_layout(n)  # cached, and not part of the sum's cost
     tracemalloc.start()
     try:
         value = exact._point_sum.__wrapped__(n, 0)
@@ -498,7 +561,7 @@ def test_order_point_sums_memory_is_bounded_by_histogram_blocks():
     # at the largest order the count matrix and the n x n histogram are one
     # block each; the columns are reduced one at a time
     n = isqrt(exact._HIST_BLOCK)
-    exact.cyclotomic_polynomial(n)  # cached, and not part of the sums' cost
+    exact._crt_layout(n)  # cached, and not part of the sums' cost
     tracemalloc.start()
     try:
         sums = exact._order_point_sums(n, n)

@@ -628,7 +628,7 @@ def test_three_routes_agree_on_the_family_grid(K):
             block = GalerkinProblem(d=2 * m, K=K, equivariance=EquivariantRestriction(l, m % l))
             if exact_index(block).index_exact != want:
                 failures.append((l, m, "exact index"))
-            samples = supertrace(block, galerkin._HEAT_TIMES).supertrace_samples
+            samples = supertrace(block, galerkin.HEAT_TIMES).supertrace_samples
             if any(abs(value - want) > 1e-8 for _, value in samples):
                 failures.append((l, m, "supertrace"))
     assert not failures, failures[:10]

@@ -327,7 +327,7 @@ def test_refine_budget_and_failure():
         measure._refine(unsettled, 0.0, 1.0, 1e-3, vals)
     levels = sorted(n for _, _, n in vals)
     assert levels[0] == 1
-    assert levels[-1] == 2 ** (measure._MAX_SUBDIVISIONS + 1) == 2**13
+    assert levels[-1] == 2 ** (measure.MAX_SUBDIVISIONS + 1) == 2**13
     assert levels == [2**k for k in range(14)]
     # 1 and 2 panels share the first call, every finer level has its own
     assert calls == [1 + 2] + levels[2:]
@@ -360,7 +360,7 @@ def _oracle_panel_integral(f, lo, hi, n_panels):
 def _oracle_refine(f, lo, hi, tol_abs):
     n = 1
     prev = _oracle_panel_integral(f, lo, hi, n)
-    for _ in range(measure._MAX_SUBDIVISIONS + 1):
+    for _ in range(measure.MAX_SUBDIVISIONS + 1):
         n *= 2
         cur = _oracle_panel_integral(f, lo, hi, n)
         if abs(cur - prev) <= tol_abs:

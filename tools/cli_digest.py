@@ -11,10 +11,11 @@ One line per case: the sha256 of its (stdout, stderr, exit code), the exit
 code, and the arguments.  Two checkouts print the same bytes exactly when
 every case is byte-identical, so `diff` the two files.
 
-The list holds 27 `heat`, 11 `verify`, 9 `sweep`, 8 `kawasaki` and 42
-`measure` cases, 97 in all: successes, refused arguments (exit 2),
+The list holds 28 `heat`, 11 `verify`, 9 `sweep`, 8 `kawasaki` and 42
+`measure` cases, 98 in all: successes, refused arguments (exit 2),
 divergent measures (exit 4) and numerical breakdowns (exit 5), among them
-the Gram Cholesky cliffs `heat --d 20 --K 26` and `--d 200 --K 10`.
+the Gram Cholesky cliffs `heat --d 20 --K 26` and `--d 200 --K 10`, and
+two large heat times that exit 0 with wrong samples.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ HEAT = [
     "--d 4 --K 3",
     "--K 3 --l 2 --m 2",
     "--K 8 --l 3 --m 8",
+    # large heat times: exit 0, with samples far from the index (7.07 against
+    # 4, and 0 against 1)
+    "--d 3 --K 5 --t 1e15 --json",
+    "--d 0 --K 3 --t 1e308 --json",
     # numerical breakdown, exit 5
     "--d 20 --K 26",
     "--d 0 --K 30",
     "--d 200 --K 10",
     "--d 200 --K 10 --json",
     "--d 3 --K 5 --t 1e17 1e20 --json",
-    "--d 0 --K 3 --t 1e308 --json",
     # refused arguments, exit 2
     "--d 4 --K 3 --t 0.5 -1",
     "--d 4 --K 0",
