@@ -12,11 +12,13 @@ instead), and phi2 = 1 - phi1.  lambda_m is the total mass of r^(2m) against
 An array of radii is evaluated piece by piece, each piece on its own radii:
 rho = r where phi1 = 1, the pure tail where phi1 = 0, and the logistic
 blend only in the band between.  A single radius is evaluated in Python
-floats with the same IEEE operations, so both give the same bits; only the
-tail power stays a numpy ufunc, because numpy's float64 power and libm's
-pow, which Python's ** calls, can differ in the last bit.  unity_check's
-library quadrature asks for one Python float at a time and calls that
-scalar density directly; like lambda_m, it is memoized per key.
+floats with the same IEEE operations, so both give the same bits: the
+logistic blend calls the array path's expit, and the tail power its float64
+power ufunc on a 1-element array, since a 0-d power takes numpy's scalar
+loop and Python's ** calls libm's pow, and either can differ in the last
+bit.  unity_check's library quadrature asks for one Python float at a time
+and calls that scalar density directly; like lambda_m, it is memoized per
+key.
 
 The projector onto fiberwise weight m averages a function over the orbit
 s e^(i g) w of a point w of the punctured plane against the m-th character
@@ -156,7 +158,8 @@ def _density_at(r: float, params: FiberMeasureParams) -> float:
     """radial_density at one radius, in Python floats.
 
     Each step is the IEEE operation the array path performs on that entry,
-    so the two paths agree bit for bit.
+    and the logistic blend and the tail power call the array path's own
+    ufuncs (expit and numpy's power), so the two paths agree bit for bit.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(_BAD_RADIUS)
@@ -166,17 +169,14 @@ def _density_at(r: float, params: FiberMeasureParams) -> float:
     p1 = 0.0
     if params.cutoff is Cutoff.SMOOTH_BUMP and x < 2.0:
         t = x - 1.0
-        try:
-            # expit's own formula; where exp overflows, expit returns 0
-            p1 = 1.0 / (1.0 + math.exp(-(1.0 / t - 1.0 / (1.0 - t))))
-        except OverflowError:
-            pass
+        p1 = float(expit(1.0 / t - 1.0 / (1.0 - t)))
     p2 = 1.0 - p1
     tail = 0.0
     if p2 > 0.0:
         a = params.a
-        # not Python's **: it calls libm pow, which differs in the last bit
-        # from numpy's float64 power (SIMD where the CPU has it) for some r
+        # not Python's ** (libm pow) nor a 0-d power (numpy's scalar loop):
+        # either differs in the last bit from the float64 power ufunc (SIMD
+        # where the CPU has it) for some r
         tail = 4.0 * a * a * float((np.array([r]) ** (-4.0 * a - 2.0))[0])
     return (p1 + p2 * tail) * r
 
@@ -331,7 +331,7 @@ def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0):
         mag = abs(val)
         if mag <= 1e-300:
             return total, rule
-        if prev_mag is not None and prev_mag > 0:
+        if prev_mag is not None:
             ratio = mag / prev_mag
             if ratio >= _FLAT_RATIO:
                 if mag > tail_tol:
@@ -356,6 +356,11 @@ def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
+def _moment_density(r, params: FiberMeasureParams):
+    """The moment integrand r^(2m) rho(r), vectorized in r."""
+    return r ** (2 * params.m) * radial_density(r, params)
+
+
 @lru_cache(maxsize=1024)
 def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Normalizing mass lambda_m = 2 pi * Int r^(2m) rho(r) dr.
@@ -363,12 +368,7 @@ def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     Divergent parameters are not special-cased: they surface as
     DivergenceDetected from the tail-ratio test.
     """
-    m2 = 2 * params.m
-
-    def integrand(rr):
-        return rr**m2 * radial_density(rr, params)
-
-    val, _ = _integrate_radial(integrand, (1.0, _SQRT2), quad.rel_tolerance)
+    val, _ = _integrate_radial(lambda r: _moment_density(r, params), (1.0, _SQRT2), quad.rel_tolerance)
     return 2.0 * math.pi * val.real
 
 
@@ -408,17 +408,21 @@ def pullback_measure_total(
     Parametrizing the group direction by xi = s e^(i g), the fiber point is
     w / xi, and the claim is that the density of the pullback integrates to
     exactly 1 for every nonzero w.  This is the normalization that makes the
-    projector reproduce weight-m functions pointwise.
+    projector reproduce weight-m functions pointwise.  In the orbit radius
+    t = |w| / s the integrand is t^(2m) rho(t) times the Jacobian t / s,
+    whose factors stay in the float range for 1e-300 <= |w| <= 1e300; a
+    modulus outside that range is refused with ValueError.
     """
     r0 = abs(w)
     if not 0 < r0 < math.inf:
         raise ValueError("w must be a finite nonzero point of the punctured plane")
+    if not 1e-300 <= r0 <= 1e300:
+        raise ValueError("w must have a modulus between 1e-300 and 1e300")
     lam = lambda_m(params, quad)
-    m2 = 2 * params.m
 
     def integrand(s):
         t = r0 / s
-        return t**m2 * radial_density(t, params) * (r0 / (s * s))
+        return _moment_density(t, params) * (t / s)
 
     val, _ = _integrate_radial(integrand, (r0 / _SQRT2, r0), quad.rel_tolerance)
     return 2.0 * math.pi * val.real / lam
@@ -496,16 +500,15 @@ def project_m(
 
     def _direction_values(dirs: np.ndarray) -> np.ndarray:
         # ring value of each direction, evaluating u only on unseen ones
-        dirs, inverse = np.unique(dirs, return_inverse=True)
         keys = dirs.tolist()
-        missing = [d for d in keys if d not in memo]
+        missing = [d for d in dict.fromkeys(keys) if d not in memo]
         for i in range(0, len(missing), block):
             chunk = missing[i : i + block]
             # a sum per direction, not a matrix product over the block,
             # so no block size changes the bits of a direction's value
             vals = ((_rings(np.array(chunk), nodes) @ character) * weights).sum(axis=-1)
             memo.update(zip(chunk, vals.tolist()))
-        return np.array([memo[d] for d in keys], dtype=complex)[inverse]
+        return np.array([memo[d] for d in keys], dtype=complex)
 
     def _check(moduli: np.ndarray) -> None:
         # c / |c| overflows to nan below the smallest normal modulus

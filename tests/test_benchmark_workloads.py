@@ -16,7 +16,8 @@ from cstar_index import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the one operation known to exit other than expected: the float Cholesky of
-# a Gram block breaks down (exit 5) at d=20, K=26 (ROADMAP item 2)
+# a Gram block breaks down (exit 5) at d=20, K=26 (ROADMAP, "Spectra from
+# exact orthogonal-polynomial recurrences")
 KNOWN_BREAKDOWN = ("heat", 20, 26, None)
 
 

@@ -496,17 +496,32 @@ def test_order_point_sums_match_single_sums():
         assert exact._order_point_sums(n, n) == _single_sums(n, range(n)), n
 
 
-def test_order_point_sums_at_the_largest_order():
-    # the largest order whose n x n count matrix fits one histogram block;
-    # a single sum there costs about 7 ms, so every 31st residue (and the
-    # last) is checked against it, and every residue against the closed form
-    n = isqrt(exact._HIST_BLOCK)
-    assert n * n <= exact._HIST_BLOCK < (n + 1) ** 2
+def _check_order_sums_sampled(n):
+    # each single sum at n near 1000 builds its own n x n histogram, so only
+    # every 31st residue (and the last) is checked against it, and every
+    # residue against the closed form
     sums = exact._order_point_sums(n, n)
     assert len(sums) == n
     sample = [*range(0, n, 31), n - 1]
     assert tuple(sums[b] for b in sample) == _single_sums(n, sample)
     assert all(sums[b] == mu_closed(n, b) for b in range(n))
+
+
+def test_order_point_sums_at_the_largest_order():
+    # the largest order whose n x n count matrix fits one histogram block
+    n = isqrt(exact._HIST_BLOCK)
+    assert n * n <= exact._HIST_BLOCK < (n + 1) ** 2
+    _check_order_sums_sampled(n)
+
+
+def test_order_point_sums_at_three_odd_primes():
+    # 1001 = 7 * 11 * 13: the CRT layout has three factors, none of them 2.
+    # 1155 = 3 * 5 * 7 * 11 is left out: past the n^2 <= _HIST_BLOCK cap the
+    # order route calls _point_sum per residue, which the check would compare
+    # with itself
+    n = 7 * 11 * 13
+    assert n * n <= exact._HIST_BLOCK
+    _check_order_sums_sampled(n)
 
 
 def test_order_point_sums_first_residues():

@@ -562,6 +562,28 @@ def test_pullback_refuses_zero_and_nonfinite(w):
             pullback_measure_total(p, DEFAULT, w)
 
 
+@pytest.mark.parametrize("tol", [DEFAULT.rel_tolerance, 3e-13])
+def test_pullback_measure_total_at_extreme_moduli(tol):
+    # the Jacobian t / s keeps every factor in the float range across the
+    # supported moduli, so the mass is one there with no numpy warning
+    q = QuadratureConfig(tol)
+    hard = FiberMeasureParams(a=2.0, m=1, cutoff=Cutoff.HARD_STEP)
+    for p in (FiberMeasureParams(a=1.0, m=0), hard, FiberMeasureParams(a=9.0, m=4)):
+        for w in (1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                total = pullback_measure_total(p, q, w)
+            assert abs(total - 1.0) <= 10 * tol, (p, w)
+
+
+@pytest.mark.parametrize("w", [1e-305, 1e305, complex(0.0, -1e-305), 1e300 * (1 + 1j)])
+def test_pullback_refuses_moduli_out_of_range(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="modulus between 1e-300 and 1e300"):
+            pullback_measure_total(FiberMeasureParams(a=1.0, m=0), DEFAULT, w)
+
+
 def test_panel_points_are_cached_read_only():
     assert measure._panel_points.cache_info().maxsize is not None
     pts, wts = measure._panel_points(0.0, 1.0, 2)
@@ -868,7 +890,10 @@ def test_nested_projector_inner_work_per_ray(rule_sizes):
 
 
 def _aliasing_xfail(m, error):
-    reason = f"ROADMAP item 3: 32 angular nodes alias P_m(bump) at m={m} ({error} relative)"
+    reason = (
+        f"ROADMAP, angular error estimate item: 32 angular nodes alias P_m(bump) "
+        f"at m={m} ({error} relative)"
+    )
     return pytest.param(m, marks=pytest.mark.xfail(strict=True, reason=reason))
 
 
@@ -1010,6 +1035,19 @@ def test_projectors_share_no_memo():
     first(z)
     second(z)
     assert sum(counts) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=QuadratureError,
+    reason="ROADMAP, angular error estimate item: its log-radius map should settle the "
+    "pulled-back integrand, which grows like s^(4a-2m-1) at s = 0",
+)
+def test_projector_axioms_near_the_integrability_edge():
+    # a = 6.1 > m/2, so the measure is integrable, but s^(4a-2m-1) = s^-0.6
+    # at s = 0 and uniform panels never settle the pullback's first segment
+    report = projector_axioms_check(FiberMeasureParams(a=6.1, m=12), DEFAULT)
+    assert isinstance(report, ProjectorAxiomsReport)
 
 
 def test_projector_axioms_at_default_tolerance():
