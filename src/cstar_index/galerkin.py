@@ -27,15 +27,16 @@ preserves the weight, and restricting to a residue class of weights modulo
 l computes the fixed-point index of the quotient family.
 
 D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
-alone builds the blocks, each from its weight: the index ranges of its
-sections and forms, the D-block from the formula above, and for each Gram
-block the first exponent of the Beta moments of which it is the Hankel
-matrix.  Each distinct D-block is built, ranked over Q and converted to
-float once per process, and the walk yields that cached triple.  In the
-float walk every Gram block is read off one float moment table per complex,
-and the blocks are factored and orthonormalized one by one in weight order,
-so the first block whose float Cholesky fails is the one reported; the
-orthonormalized blocks of each shape are then diagonalized as one stack.
+alone works out the blocks, each from its weight: the index ranges of its
+sections and forms, and for each Gram block the first exponent of the Beta
+moments of which it is the Hankel matrix.  `_d_block` builds the D-block of
+two index ranges from the formula above; each distinct D-block is built,
+ranked over Q and converted to float once per process.  In the float walk
+every Gram block is read off one float moment table per complex and
+factored, in weight order, before any D-block is built or ranked, so the
+first block whose float Cholesky fails is the one reported and a breakdown
+does no exact arithmetic; only then is each block orthonormalized, and the
+blocks of each shape are diagonalized as one stack.
 `build_dbar_matrix` and `gram_matrices` only place the blocks along the
 diagonal of full matrices, in block order: weight ascending, then b
 (sections) or beta (forms) ascending.  Nothing in the program uses them;
@@ -188,11 +189,13 @@ def _float_moments(s: int) -> np.ndarray:
 
 
 def _weight_blocks(problem: GalerkinProblem):
-    """Yield (weight, b-range, beta-range, D-block, c_V, c_W).
+    """Yield (weight, b-range, beta-range, c_V, c_W).
 
     Weights ascend from -K to d + K.  Block w holds the sections v_{b+w,b}
     and forms w_{beta+w+1,beta} for b and beta in the two ranges, in the
-    order of the full bases.  The D-block is `_d_block`'s cached triple.
+    order of the full bases.  The walk builds no D-block: a consumer that
+    reads one calls `_d_block(K, b-range, beta-range)`, so a walk that stops
+    at a Gram block, as the float walk does on a breakdown, builds none.
     Monomials of different weight are orthogonal (the angular integral
     vanishes), and an equal-weight pair gives the Beta moment of its
     exponent sum, so a Gram block of order n is the Hankel matrix of 2n - 1
@@ -208,7 +211,7 @@ def _weight_blocks(problem: GalerkinProblem):
             continue
         bs = range(max(0, -w), min(K, d + K - w) + 1)
         betas = range(max(0, -w - 1), min(K - 1, d + K - w) + 1)
-        yield w, bs, betas, _d_block(K, bs, betas), 2 * bs.start + w, 2 * betas.start + w + 1
+        yield w, bs, betas, 2 * bs.start + w, 2 * betas.start + w + 1
 
 
 @lru_cache(maxsize=1024)
@@ -242,7 +245,8 @@ def _block_diagonal(blocks, zero) -> list[list]:
 def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
     """Integer matrix of D, rows the forms and columns the sections, both in
     block order: weight ascending, then beta (rows) or b (columns) ascending."""
-    blocks = ((betas, bs, d_block[0]) for _, bs, betas, d_block, _, _ in _weight_blocks(problem))
+    K = problem.K
+    blocks = ((betas, bs, _d_block(K, bs, betas)[0]) for _, bs, betas, _, _ in _weight_blocks(problem))
     return _block_diagonal(blocks, 0)
 
 
@@ -255,7 +259,7 @@ def gram_matrices(problem: GalerkinProblem):
         return [[_beta_moment(first + i + j, s) for j in range(n)] for i in range(n)]
 
     v_blocks, w_blocks = [], []
-    for _, bs, betas, _, c_v, c_w in _weight_blocks(problem):
+    for _, bs, betas, c_v, c_w in _weight_blocks(problem):
         v_blocks.append((bs, bs, hankel(c_v, len(bs))))
         w_blocks.append((betas, betas, hankel(c_w, len(betas))))
     return _block_diagonal(v_blocks, Fraction(0)), _block_diagonal(w_blocks, Fraction(0))
@@ -309,10 +313,10 @@ def _report(problem, dim_v, dim_w, rank, samples=(), pairing=None) -> SpectralRe
 def exact_index(problem: GalerkinProblem) -> SpectralReport:
     """Kernel, cokernel, and index of the truncated complex, exactly over Q."""
     dim_v = dim_w = rank = 0
-    for _, bs, betas, (_, block_rank, _), _, _ in _weight_blocks(problem):
+    for _, bs, betas, _, _ in _weight_blocks(problem):
         dim_v += len(bs)
         dim_w += len(betas)
-        rank += block_rank
+        rank += _d_block(problem.K, bs, betas)[1]
     return _report(problem, dim_v, dim_w, rank)
 
 
@@ -346,9 +350,12 @@ def _gram_cholesky(
 def _block_spectra(problem: GalerkinProblem):
     """One walk over the weight blocks: (rank over Q, evals_V, evals_W, sigma).
 
-    Per block, in weight order, the Gram blocks are read off one float
-    moment table and factored, G = L L^T, so the first block whose float
-    Cholesky fails raises; then D~ = L_W^T D L_V^(-T).  The D~ blocks are
+    The first pass reads every Gram block off one float moment table and
+    factors it, G = L L^T, in weight order, so the first block whose float
+    Cholesky fails raises before any D-block is built or ranked: a
+    breakdown does no exact arithmetic.  The second pass takes each block's
+    cached `_d_block` triple, adds its rank over Q and forms
+    D~ = L_W^T D L_V^(-T).  The D~ blocks are
     stacked by shape, and each stack takes one call per eigensolve and one
     SVD, which run the same LAPACK routine on every matrix of the stack.
     The spectra are sorted together.  sigma has min(dim_V, dim_W) entries,
@@ -356,12 +363,16 @@ def _block_spectra(problem: GalerkinProblem):
     block.
     """
     moments = _float_moments(2 * problem.K + problem.d + 2)
-    rank = 0
-    by_shape = {}
-    for weight, bs, betas, (_, block_rank, d_t), c_v, c_w in _weight_blocks(problem):
-        rank += block_rank
+    factored = []
+    for weight, bs, betas, c_v, c_w in _weight_blocks(problem):
         l_v = _gram_cholesky(moments, c_v, len(bs), problem, "section", weight)
         l_w = _gram_cholesky(moments, c_w, len(betas), problem, "form", weight)
+        factored.append((bs, betas, l_v, l_w))
+    rank = 0
+    by_shape = {}
+    for bs, betas, l_v, l_w in factored:
+        _, block_rank, d_t = _d_block(problem.K, bs, betas)
+        rank += block_rank
         # D * L_V^(-T) via a triangular solve, then the L_W^T factor
         solved, info = dtrtrs(l_v, d_t, lower=1)
         if info != 0:

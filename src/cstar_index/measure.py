@@ -17,8 +17,9 @@ logistic blend calls the array path's expit, and the tail power its float64
 power ufunc on a 1-element array, since a 0-d power takes numpy's scalar
 loop and Python's ** calls libm's pow, and either can differ in the last
 bit.  unity_check's library quadrature asks for one Python float at a time
-and calls that scalar density directly; like lambda_m, it is memoized per
-key.
+and calls that scalar density directly; like lambda_m, it is memoized on
+the parameters and the relative tolerance, the one quadrature setting both
+read.
 
 The projector onto fiberwise weight m averages a function over the orbit
 s e^(i g) w of a point w of the punctured plane against the m-th character
@@ -242,17 +243,27 @@ def _panel_points(lo: float, hi: float, n_panels: int):
 def _panel_integrals(f, keys, vals: dict) -> dict:
     """Add to vals f's integral on each panel set (lo, hi, n); return vals.
 
-    One call of f covers the keys vals lacks; each value is the dot product
-    of its own slice of f's values, so no other panel set moves its bits.
+    One call of f covers the keys vals lacks, on their nodes in key order.
     """
     keys = [key for key in keys if key not in vals]
     if keys:
-        rules = [_panel_points(*key) for key in keys]
-        values = np.asarray(f(np.concatenate([pts for pts, _ in rules])))
-        start = 0
-        for key, (pts, wts) in zip(keys, rules):
-            vals[key] = complex(np.dot(values[start : start + pts.size], wts))
-            start += pts.size
+        values = f(np.concatenate([_panel_points(*key)[0] for key in keys]))
+        _panel_sums(keys, np.asarray(values), vals)
+    return vals
+
+
+def _panel_sums(keys, values: np.ndarray, vals: dict) -> dict:
+    """Add to vals the estimate of each panel set (lo, hi, n) in keys from
+    values, an integrand's values on their nodes in key order; return vals.
+
+    Each estimate is the dot product of its own slice of values, so no
+    other panel set moves its bits.
+    """
+    start = 0
+    for key in keys:
+        pts, wts = _panel_points(*key)
+        vals[key] = complex(np.dot(values[start : start + pts.size], wts))
+        start += pts.size
     return vals
 
 
@@ -278,7 +289,7 @@ def _refine(f, lo: float, hi: float, tol_abs: float, vals: dict):
     raise QuadratureError(f"no convergence on [{lo:g}, {hi:g}] with up to {n} panels")
 
 
-def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0):
+def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0, vals=None):
     """Integral of f over (0, inf) with seams and a geometric tail: (value, rule).
 
     f must accept a vector of radii, act on each radius alone, and may
@@ -295,6 +306,8 @@ def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0):
     segment's 1 and 2 panels; a later segment or window gets its 1 and 2
     panels in one call once the walk reaches it, each finer level in one
     more, so nothing past the window where the walk stops is evaluated.
+    vals, if given, seeds that dict with estimates the caller took from f's
+    own values, and the walk evaluates f on no panel set it holds.
 
     scale_floor anchors the tolerance budget when the integrand itself
     nearly cancels (an angular average of an off-weight function, say), so
@@ -307,8 +320,9 @@ def _integrate_radial(f, seams, rel_tolerance: float, scale_floor: float = 0.0):
     # rough scale pass to convert the relative tolerance into a budget
     tail = (edges[-1], 2 * edges[-1])
     first = [(*segments[0], 1), (*segments[0], 2)]
-    vals = _panel_integrals(f, [(lo, hi, 4) for lo, hi in segments + [tail]] + first, {})
-    scale = sum(abs(vals[lo, hi, 4]) for lo, hi in segments + [tail])
+    scale_keys = [(lo, hi, 4) for lo, hi in segments + [tail]]
+    vals = _panel_integrals(f, scale_keys + first, {} if vals is None else vals)
+    scale = sum(abs(vals[key]) for key in scale_keys)
     scale = max(scale, scale_floor, 1e-300)
     budget = rel_tolerance * scale
     seg_tol = 0.1 * budget / (len(segments) + 1)
@@ -361,27 +375,37 @@ def _moment_density(r, params: FiberMeasureParams):
     return r ** (2 * params.m) * radial_density(r, params)
 
 
-@lru_cache(maxsize=1024)
 def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Normalizing mass lambda_m = 2 pi * Int r^(2m) rho(r) dr.
 
     Divergent parameters are not special-cased: they surface as
-    DivergenceDetected from the tail-ratio test.
+    DivergenceDetected from the tail-ratio test.  Memoized on params and
+    quad.rel_tolerance, the only field of quad it reads.
     """
-    val, _ = _integrate_radial(lambda r: _moment_density(r, params), (1.0, _SQRT2), quad.rel_tolerance)
-    return 2.0 * math.pi * val.real
+    return _lambda_m(params, quad.rel_tolerance)
 
 
 @lru_cache(maxsize=1024)
+def _lambda_m(params: FiberMeasureParams, rel_tolerance: float) -> float:
+    val, _ = _integrate_radial(lambda r: _moment_density(r, params), (1.0, _SQRT2), rel_tolerance)
+    return 2.0 * math.pi * val.real
+
+
 def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Total mass of r^(2m) dv_m by an independent route; should be 1.
 
     The numerator uses library adaptive quadrature on the two bounded
     pieces plus the analytic power-law tail from sqrt(2) on, where the
     cutoff has fully handed over; only the denominator comes from the
-    in-house engine, so agreement with 1 cross-validates both.
+    in-house engine, so agreement with 1 cross-validates both.  Memoized,
+    like lambda_m, on params and quad.rel_tolerance.
     """
-    lam = lambda_m(params, quad)
+    return _unity_check(params, quad.rel_tolerance)
+
+
+@lru_cache(maxsize=1024)
+def _unity_check(params: FiberMeasureParams, rel_tolerance: float) -> float:
+    lam = _lambda_m(params, rel_tolerance)
     a, m = params.a, params.m
     if 4 * a - 2 * m <= 0:
         raise DivergenceDetected(
@@ -393,7 +417,7 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
         # quad passes a Python float, so the scalar density needs no dispatch
         return rr**m2 * _density_at(rr, params)
 
-    eps = 0.05 * quad.rel_tolerance
+    eps = 0.05 * rel_tolerance
     i1, _ = _scipy_quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200)
     i2, _ = _scipy_quad(integrand, 1.0, _SQRT2, epsabs=0.0, epsrel=eps, limit=200)
     tail = 4.0 * a * a * _SQRT2 ** (m2 - 4.0 * a) / (4.0 * a - m2)
@@ -447,11 +471,13 @@ def project_m(
     u must accept complex numpy arrays.  One radial rule with seams at 1 and
     sqrt(2) serves every point (module docstring).  It is built here, once,
     adaptively along the direction 1, with the tolerance anchored to the
-    magnitude envelope of the integrand.  The returned function accepts a
-    complex scalar or array of finite nonzero points.  Its value at w is
-    |w|^m times the character sum of u on the ring of the direction w/|w|
-    (exact on trigonometric polynomials of degree below the node count),
-    taken from the projector's dict where an earlier call computed it.
+    magnitude envelope of the integrand; the envelope and the walk's first
+    call share one evaluation of u, so u sees each node of the walk once.
+    The returned function accepts a complex scalar or array of finite
+    nonzero points.  Its value at w is |w|^m times the character sum of u
+    on the ring of the direction w/|w| (exact on trigonometric polynomials
+    of degree below the node count), taken from the projector's dict where
+    an earlier call computed it.
     The dict holds one entry per distinct direction queried and nothing is
     shared between projectors.  The closure's on_rays(c, t) is the value at
     every point t * c (radii t > 0, shaped t.shape + c.shape): |t c|^m times
@@ -483,15 +509,20 @@ def project_m(
     def _profile(t: np.ndarray) -> np.ndarray:
         return (_rings(one, t)[0] @ character) * _weight(t)
 
-    def _envelope(t: np.ndarray) -> np.ndarray:
-        # magnitude profile of the same integrand with no phase cancellation
-        mags = np.abs(_rings(one, t)[0])
-        return (mags @ np.full(n_ang, 1.0 / n_ang)) * _weight(t)
-
+    # u on the nodes of the walk's first call, in its order: the scale
+    # pass's 4-panel sets, then 1 and 2 panels of [0, 1]; the floor reads
+    # the 4-panel sets, and the walk takes that call's estimates as given
     edges = (0.0, 1.0, _SQRT2, 2 * _SQRT2)
-    envelope = _panel_integrals(_envelope, [(lo, hi, 4) for lo, hi in zip(edges, edges[1:])], {})
-    floor = abs(sum(envelope.values()))
-    _, rule = _integrate_radial(_profile, edges[1:3], quad.rel_tolerance, floor)
+    scale_keys = [(lo, hi, 4) for lo, hi in zip(edges, edges[1:])]
+    first = scale_keys + [(0.0, 1.0, 1), (0.0, 1.0, 2)]
+    t = np.concatenate([_panel_points(*key)[0] for key in first])
+    rings, weight = _rings(one, t)[0], _weight(t)
+    # magnitude profile of the same integrand with no phase cancellation
+    n_scale = len(scale_keys) * 4 * _GAUSS_X.size
+    envelope = (np.abs(rings[:n_scale]) @ np.full(n_ang, 1.0 / n_ang)) * weight[:n_scale]
+    floor = abs(sum(_panel_sums(scale_keys, envelope, {}).values()))
+    vals = _panel_sums(first, (rings @ character) * weight, {})
+    _, rule = _integrate_radial(_profile, edges[1:3], quad.rel_tolerance, floor, vals=vals)
     panels = [_panel_points(lo, hi, n) for lo, hi, n in rule]
     nodes = np.concatenate([pts for pts, _ in panels])
     weights = np.concatenate([wts for _, wts in panels]) * _weight(nodes)

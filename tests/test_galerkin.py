@@ -282,7 +282,11 @@ def test_integer_rank_matches_fraction_oracle_on_d_blocks():
         GalerkinProblem(d=16, K=8, equivariance=EquivariantRestriction(l=3, label=8)),
         GalerkinProblem(d=20, K=26),
     ]
-    blocks = [blk[3][0] for p in problems for blk in galerkin._weight_blocks(p)]
+    blocks = [
+        galerkin._d_block(p.K, bs, betas)[0]
+        for p in problems
+        for _, bs, betas, _, _ in galerkin._weight_blocks(p)
+    ]
     assert len(blocks) == 269
     for block in blocks:
         before = [list(row) for row in block]
@@ -330,7 +334,7 @@ def test_gram_cholesky_breakdown_is_typed(monkeypatch):
     # the same moment table and stay positive definite
     problem = GalerkinProblem(d=1, K=2)
     exact_table = galerkin._float_moments
-    weight, _, betas, _, _, first = next(
+    weight, _, betas, _, first = next(
         blk for blk in galerkin._weight_blocks(problem) if len(blk[2]) >= 2
     )
     broken = {"weight": weight, "size": len(betas)}
@@ -370,7 +374,7 @@ def _per_block_spectra(problem):
     s = 2 * problem.K + problem.d + 2
     rank = 0
     parts_v, parts_w, parts_sigma = [], [], []
-    for weight, bs, betas, _, c_v, c_w in galerkin._weight_blocks(problem):
+    for weight, bs, betas, c_v, c_w in galerkin._weight_blocks(problem):
         d_block = _formula_d_block(problem.K, bs, betas)
         rank += galerkin._integer_rank(d_block)
         factors = []
@@ -440,14 +444,19 @@ def _breakdowns(problem, walks):
 )
 def test_stacked_walk_breaks_down_where_per_block_walk_does(d, K, breakdown):
     problem = GalerkinProblem(d=d, K=K)
+    galerkin._d_block.cache_clear()
     errors = _breakdowns(problem, (galerkin._block_spectra, _per_block_spectra))
     assert errors[0] == errors[1]
     assert errors[0][:4] == breakdown
+    # every Gram block is factored before any D-block is built, so the walk
+    # that breaks down builds and ranks none (the reference builds its own)
+    assert galerkin._d_block.cache_info().misses == 0
 
 
 def test_warm_walk_breaks_down_on_the_same_block():
-    # (20, 20) fills the cache first; the second (20, 26) walk reads every
-    # D-block it reaches from the cache, and still names the same block
+    # (20, 20) fills the D-block cache first; each (20, 26) walk factors
+    # Gram blocks up to the failing one and reads no D-block, cached or not,
+    # and names the same block from a warm cache as from a cold one
     galerkin._d_block.cache_clear()
     galerkin._block_spectra(GalerkinProblem(d=20, K=20))
     walks = (galerkin._block_spectra, galerkin._block_spectra, _per_block_spectra)
@@ -481,8 +490,9 @@ def test_d_block_cache_is_bounded_and_read_only():
     assert galerkin._hankel_index.cache_info().maxsize == 1024
     assert galerkin._float_moments.cache_info().maxsize == 1024
     problem = GalerkinProblem(d=3, K=4)
-    for _, bs, betas, d_block, _, _ in galerkin._weight_blocks(problem):
-        # the walk yields the cached triple itself, which nothing can alter
+    for _, bs, betas, _, _ in galerkin._weight_blocks(problem):
+        # every consumer gets the cached triple itself, which nothing can alter
+        d_block = galerkin._d_block(problem.K, bs, betas)
         assert d_block is galerkin._d_block(problem.K, bs, betas)
         with pytest.raises(TypeError):
             d_block[0] = ()

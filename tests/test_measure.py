@@ -158,7 +158,7 @@ def test_density_pieces_match_three_pass_oracle(cutoff):
 def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol):
     params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
     quad = QuadratureConfig(rel_tolerance=tol)
-    unity_check.cache_clear()
+    measure._unity_check.cache_clear()
     fast = unity_check(params, quad)
     radii = []
 
@@ -168,7 +168,7 @@ def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol
 
     monkeypatch.setattr(measure, "_density_at", array_path)
     # the memo would return fast without evaluating anything
-    unity_check.cache_clear()
+    measure._unity_check.cache_clear()
     assert unity_check(params, quad) == fast
     assert radii
 
@@ -187,19 +187,37 @@ def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
     monkeypatch.setattr(measure, "_scipy_quad", counted)
     params = FiberMeasureParams(a=1.3, m=1)
     lambda_m(params, DEFAULT)
-    unity_check.cache_clear()
+    measure._unity_check.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(measure, "radial_density", dispatch)
         first = unity_check(params, DEFAULT)
     assert calls == [(0.0, 1.0), (1.0, math.sqrt(2.0))]
     assert unity_check(params, DEFAULT).hex() == first.hex()
     assert len(calls) == 2
-    assert unity_check.cache_info().maxsize == lambda_m.cache_info().maxsize == 1024
+    assert measure._unity_check.cache_info().maxsize == 1024
+    assert measure._lambda_m.cache_info().maxsize == 1024
     # an exception is not memoized: divergent parameters raise every time
     for _ in range(2):
         with pytest.raises(DivergenceDetected):
             unity_check(FiberMeasureParams(a=0.5, m=2), DEFAULT)
-    assert unity_check.cache_info().currsize == 1
+    assert measure._unity_check.cache_info().currsize == 1
+
+
+def test_memos_ignore_angular_nodes():
+    # lambda_m and unity_check read only rel_tolerance, so two configs that
+    # differ in angular_nodes alone share their memo entries
+    params = FiberMeasureParams(a=2.0, m=1)
+    coarse, fine = QuadratureConfig(angular_nodes=32), QuadratureConfig(angular_nodes=64)
+    assert coarse != fine
+    measure._lambda_m.cache_clear()
+    measure._unity_check.cache_clear()
+    assert lambda_m(params, coarse) == lambda_m(params, fine)
+    assert unity_check(params, coarse) == unity_check(params, fine)
+    assert measure._lambda_m.cache_info().misses == 1
+    assert measure._unity_check.cache_info().misses == 1
+    # another tolerance is another entry
+    lambda_m(params, QuadratureConfig(rel_tolerance=1e-8, angular_nodes=64))
+    assert measure._lambda_m.cache_info().misses == 2
 
 
 def test_cutoffs_agree_outside_transition_band():
@@ -434,9 +452,9 @@ _BATCHED_WALK = measure._integrate_radial
 
 
 def _same_walks(captured):
-    """Replay each captured walk on both engines and compare them."""
+    """Replay each captured walk, unseeded, on both engines and compare them."""
     assert captured
-    for f, args, kwargs in captured:
+    for f, args, kwargs, _ in captured:
         new = _run_walk(_BATCHED_WALK, f, args, kwargs)
         old = _run_walk(_oracle_integrate_radial, f, args, kwargs)
         assert new[:2] == old[:2]
@@ -450,13 +468,15 @@ def _same_walks(captured):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """(f, args, kwargs) of every radial walk, which still runs as usual."""
+    """(f, args, kwargs, seed) of every radial walk, which still runs as
+    usual; seed is a copy of the estimates a caller hands the walk as vals
+    (empty if none), and kwargs lacks them, so a replay walks unseeded."""
     captured = []
     engine = measure._integrate_radial
 
-    def capturing(f, *args, **kwargs):
-        captured.append((f, args, kwargs))
-        return engine(f, *args, **kwargs)
+    def capturing(f, *args, vals=None, **kwargs):
+        captured.append((f, args, kwargs, dict(vals or {})))
+        return engine(f, *args, vals=vals, **kwargs)
 
     monkeypatch.setattr(measure, "_integrate_radial", capturing)
     return captured
@@ -475,7 +495,7 @@ def walks(monkeypatch):
     ],
 )
 def test_batched_walk_matches_oracle_on_lambda(walks, a, m, cutoff, tol):
-    lambda_m.__wrapped__(FiberMeasureParams(a=a, m=m, cutoff=cutoff), QuadratureConfig(tol))
+    measure._lambda_m.__wrapped__(FiberMeasureParams(a=a, m=m, cutoff=cutoff), tol)
     _same_walks(walks)
 
 
@@ -488,33 +508,68 @@ def test_batched_walk_matches_oracle_on_pullback(walks):
     _same_walks(walks)
 
 
-def test_batched_walk_matches_oracle_on_projector_rules(walks, monkeypatch):
-    floors = []
-    batched = measure._panel_integrals
+def _ring_envelope(u, p, t):
+    """A projector integrand's magnitude profile on radii t: the angular
+    mean of |u| on the ring of the direction 1, times the radial weight."""
+    n = DEFAULT.angular_nodes
+    xi = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    rays = getattr(u, "on_rays", None)
+    rings = u(np.multiply.outer(t, xi)) if rays is None else rays(xi, t)
+    weight = t**p.m * radial_density(t, p) * (2.0 * math.pi / lambda_m(p, DEFAULT))
+    return (np.abs(rings) @ np.full(n, 1.0 / n)) * weight
 
-    def capturing(f, keys, vals):
-        if f.__name__ == "_envelope":
-            floors.append((f, keys))
-        return batched(f, keys, vals)
 
-    monkeypatch.setattr(measure, "_panel_integrals", capturing)
+def test_batched_walk_matches_oracle_on_projector_rules(walks):
     p = FiberMeasureParams(a=1.0, m=0)
     lambda_m(p, DEFAULT)
     pu = project_m(_bump, p, DEFAULT)
     project_m(pu, p, DEFAULT)
-    assert len(walks) == 2 and len(floors) == 2
+    assert len(walks) == 2
     _same_walks(walks)
-    # the envelope floor: three 4-panel sets from one call of f
-    for f, keys in floors:
-        assert [n for _, _, n in keys] == [4, 4, 4]
-        new = abs(sum(batched(f, keys, {}).values()))
-        old = abs(sum(_oracle_panel_integral(f, *key) for key in keys))
-        assert new == old
+    r2 = math.sqrt(2.0)
+    first = [(0.0, 1.0, 4), (1.0, r2, 4), (r2, 2 * r2, 4), (0.0, 1.0, 1), (0.0, 1.0, 2)]
+    for u, (f, args, kwargs, seed) in zip((_bump, pu), walks):
+        # the seed is the walk's own first call: the scale pass's three
+        # 4-panel sets, then 1 and 2 panels of [0, 1], each bit for bit
+        assert list(seed) == first
+        own = measure._panel_integrals(f, first, {})
+        assert [np.complex128(seed[k]).tobytes() for k in first] == [
+            np.complex128(own[k]).tobytes() for k in first
+        ]
+        # seeded, the walk skips that call and makes every other one
+        seeded = _run_walk(_BATCHED_WALK, f, args, {**kwargs, "vals": dict(seed)})
+        unseeded = _run_walk(_BATCHED_WALK, f, args, kwargs)
+        assert seeded[:2] == unseeded[:2]
+        assert [c.tobytes() for c in seeded[2]] == [c.tobytes() for c in unseeded[2][1:]]
+        # the envelope floor: the three 4-panel sets of the same rings
+        floor = args[2]
+        assert floor == abs(
+            sum(_oracle_panel_integral(lambda t: _ring_envelope(u, p, t), *k) for k in first[:3])
+        )
+
+
+def test_projector_build_evaluates_u_once_per_walk_node(walks):
+    # the envelope floor reads the walk's first call, so u sees each radial
+    # node of the walk on one ring and no other point: 32 x 324 radii for
+    # P(bump) at (1, 0), where a separate floor call added 32 x 144 = 4,608
+    p = FiberMeasureParams(a=1.0, m=0)
+    lambda_m(p, DEFAULT)
+    sizes = []
+
+    def recorded(w):
+        sizes.append(np.size(w))
+        return _bump(w)
+
+    project_m(recorded, p, DEFAULT)
+    seen = sum(sizes)
+    ((f, args, kwargs, _),) = walks
+    radii = sum(c.size for c in _run_walk(_BATCHED_WALK, f, args, kwargs)[2])
+    assert seen == DEFAULT.angular_nodes * radii == 10368
 
 
 def test_batched_walk_matches_oracle_on_failures(walks):
     with pytest.raises(DivergenceDetected):
-        lambda_m.__wrapped__(FiberMeasureParams(a=0.4, m=1), DEFAULT)
+        measure._lambda_m.__wrapped__(FiberMeasureParams(a=0.4, m=1), DEFAULT.rel_tolerance)
     # what measure --a 6.1 --m 12 meets: the pulled-back integrand is
     # singular at s = 0, so the first segment never settles
     p = FiberMeasureParams(a=6.1, m=12)
@@ -539,10 +594,10 @@ def test_walk_value_is_its_rule_summed(walks, a, m, cutoff, tol):
     # one's estimate on its own, added in rule order from 0j, gives the
     # value bit for bit
     p, q = FiberMeasureParams(a=a, m=m, cutoff=cutoff), QuadratureConfig(tol)
-    lambda_m.__wrapped__(p, q)
+    measure._lambda_m.__wrapped__(p, q.rel_tolerance)
     pullback_measure_total(p, q, complex(measure._PROBE_POINTS[2]))
     assert len(walks) >= 2  # and lambda_m's own walk where its cache was cold
-    for f, args, kwargs in walks:
+    for f, args, kwargs, _ in walks:
         value, rule = _BATCHED_WALK(f, *args, **kwargs)
         assert len(rule) >= 3 and [lo for lo, _, _ in rule] == sorted(lo for lo, _, _ in rule)
         total = 0j
