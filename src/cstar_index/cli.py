@@ -9,16 +9,19 @@ Subcommands:
     heat      truncated dbar complex: exact index and heat supertrace
     measure   fiber measure diagnostics: mass, unity, projector axioms
 
-Exit codes: 0 success, 1 an identity check disagreed, 2 argument or spec
-validation errors (a negative or non-finite heat time among them), 3
-unwritable output path, 4 divergent measure parameters, 5 numerical
-breakdown (the float Gram factorization in heat failed, a heat supertrace
-sample is not finite, a measure quadrature did not converge within its
-budget, or an isotropy order is too large for exact point sums).  Each
-subcommand returns 0 to 3 itself; codes 4 and 5 come from one table,
-`_ERROR_EXITS`, through which `main` reports the typed numerical errors of
-every subcommand.  Any other error, a plain OverflowError included, is a
-fault of the program and ends in a traceback with Python's exit status 1.
+Exit codes: 0 success, 1 an identity check disagreed or a defect that heat
+or measure reports is above its gate (stdout is printed in full all the
+same, and one error line names the defect, its value and its gate), 2
+argument or spec validation errors (a negative or non-finite heat time
+among them), 3 unwritable output path, 4 divergent measure parameters, 5
+numerical breakdown (the float Gram factorization in heat failed, a heat
+supertrace sample is not finite, a measure quadrature did not converge
+within its budget, or an isotropy order is too large for exact point
+sums).  Each subcommand returns 0 to 3 itself; codes 4 and 5 come from
+one table, `_ERROR_EXITS`, through which `main` reports the typed
+numerical errors of every subcommand.  Any other error, a plain
+OverflowError included, is a fault of the program and ends in a traceback
+with Python's exit status 1.
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -36,6 +39,7 @@ from functools import lru_cache
 from .analytic import check_family_args
 from .exact import OrderTooLargeError, format_rational, lefschetz_point_sum
 from .galerkin import (
+    DEFECT_GATES,
     HEAT_TIMES,
     EquivariantRestriction,
     GalerkinProblem,
@@ -50,6 +54,7 @@ from .measure import (
     FiberMeasureParams,
     QuadratureConfig,
     QuadratureError,
+    defect_gates,
     lambda_m,
     projector_axioms_check,
     unity_check,
@@ -71,6 +76,17 @@ def _fail(message, code: int = 2) -> int:
     """Report an error on stderr and return its exit code."""
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _judge(defects: dict, gates: dict) -> int:
+    """0, or 1 with one error line naming each reported defect above its gate;
+    a defect that was not computed (None) is not judged."""
+    failed = [
+        f"{name} {defects[name]:.3e} is above its gate {gate:g}"
+        for name, gate in gates.items()
+        if defects[name] is not None and not defects[name] <= gate
+    ]
+    return _fail("; ".join(failed), 1) if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +249,7 @@ def cmd_heat(args) -> int:
             print(f"supertrace(t={t:g}) = {value:.12f}")
         print(f"max_supertrace_deviation {deviation:.3e}")
         print(f"pairing_defect {pairing:.3e}")
-    return 0
+    return _judge({"max_supertrace_deviation": deviation, "pairing_defect": pairing}, DEFECT_GATES)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +280,7 @@ def cmd_measure(args) -> int:
         },
     }
     print(json.dumps(doc, sort_keys=True))
-    return 0
+    return _judge(doc, defect_gates(quad))
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,21 @@ l computes the fixed-point index of the quotient family.
 D and both Gram matrices are block diagonal by weight, and `_weight_blocks`
 alone works out the blocks, each from its weight: the index ranges of its
 sections and forms, and for each Gram block the first exponent of the Beta
-moments of which it is the Hankel matrix.  `_d_block` builds the D-block of
-two index ranges from the formula above; each distinct D-block is built,
-ranked over Q and converted to float once per process.  In the float walk
-every Gram block is read off one float moment table per complex and
-factored, in weight order, before any D-block is built or ranked, so the
-first block whose float Cholesky fails is the one reported and a breakdown
-does no exact arithmetic; only then is each block orthonormalized, and the
-blocks of each shape are diagonalized as one stack.
-`build_dbar_matrix` and `gram_matrices` only place the blocks along the
-diagonal of full matrices, in block order: weight ascending, then b
-(sections) or beta (forms) ascending.  Nothing in the program uses them;
-the tests use them as the dense oracle.
+moments of which it is the Hankel matrix.  By the formula above each
+section meets at most two forms, so each D-block has just two nonzero
+diagonals: `_d_block` reads their entries off the formula once, fills the
+block's float transpose from them and ranks them over Q by sparse
+fraction-free elimination (`_integer_rank`), once per distinct block and
+process.  In the float walk every Gram block is read off one float moment
+table per complex and factored, in weight order, before any D-block is
+built or ranked, so the first block whose float Cholesky fails is the one
+reported and a breakdown does no exact arithmetic; only then is each block
+orthonormalized, and the blocks of each shape are diagonalized as one
+stack.  `build_dbar_matrix` (its int entries read off the float
+transposes, exactly, since none exceeds K in size) and `gram_matrices`
+only place the blocks along the diagonal of full matrices, in block order:
+weight ascending, then b (sections) or beta (forms) ascending.  Nothing in
+the program uses them; the tests use them as the dense oracle.
 """
 
 from __future__ import annotations
@@ -216,17 +219,24 @@ def _weight_blocks(problem: GalerkinProblem):
 
 @lru_cache(maxsize=1024)
 def _d_block(K: int, bs: range, betas: range):
-    """(int rows as tuples, rank over Q, read-only float transpose) of the D-block
-    on bs and betas, rows forms; the middle weights 0..d of a complex share it."""
-    rows = [[0] * len(bs) for _ in betas]
-    for col, b in enumerate(bs):
-        if b > 0:
-            rows[b - 1 - betas.start][col] = b
-        if b < K:
-            rows[b - betas.start][col] = b - K
-    floats = np.array(rows, dtype=float)
+    """(rank over Q, read-only float transpose) of the D-block on bs and betas,
+    rows forms; the middle weights 0..d of a complex share it.
+
+    Section b meets form b - 1 with entry b and form b with entry b - K, so
+    the block has two nonzero diagonals.  Its nonzero entries are read off
+    once, as one {form: entry} map per section; they fill the float
+    transpose, and `_integer_rank` ranks them by sparse elimination.  The
+    two entries that fall outside a block are exactly the zero ones: b = 0
+    meets form -1, and b = K form K.
+    """
+    first = betas.start
+    rows = [{j: x for j, x in ((b - 1 - first, b), (b - first, b - K)) if x} for b in bs]
+    floats = np.zeros((len(betas), len(bs)))
+    for col, row in enumerate(rows):
+        for j, x in row.items():
+            floats[j, col] = x
     floats.flags.writeable = False
-    return tuple(map(tuple, rows)), _integer_rank(rows), floats.T
+    return _integer_rank(rows), floats.T
 
 
 def _block_diagonal(blocks, zero) -> list[list]:
@@ -246,7 +256,11 @@ def build_dbar_matrix(problem: GalerkinProblem) -> list[list[int]]:
     """Integer matrix of D, rows the forms and columns the sections, both in
     block order: weight ascending, then beta (rows) or b (columns) ascending."""
     K = problem.K
-    blocks = ((betas, bs, _d_block(K, bs, betas)[0]) for _, bs, betas, _, _ in _weight_blocks(problem))
+    # each entry is at most K in size, so its float holds it exactly
+    blocks = (
+        (betas, bs, _d_block(K, bs, betas)[1].T.astype(int).tolist())
+        for _, bs, betas, _, _ in _weight_blocks(problem)
+    )
     return _block_diagonal(blocks, 0)
 
 
@@ -270,31 +284,32 @@ def gram_matrices(problem: GalerkinProblem):
 # ---------------------------------------------------------------------------
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of a small integer matrix by fraction-free elimination.
+def _integer_rank(rows) -> int:
+    """Rank over Q of an integer matrix by sparse fraction-free elimination.
 
-    Clearing a pivot column replaces each row below by pivot * row - entry
-    * pivot row, which stays in the integers; dividing the new row by the
-    gcd of its entries keeps them from growing.
+    Each row is a {column: entry} map of its nonzero entries.  A row is
+    reduced against the basis row that owns its leading (least) column, as
+    pivot * row - entry * basis row, which stays in the integers and clears
+    that column; dividing the result by the gcd of its entries keeps them
+    from growing.  The row stops when it vanishes or leads a column that no
+    basis row owns, and then joins the basis.  Basis rows lead distinct
+    columns, so they are independent, and the rank is their number.
     """
-    mat = [list(row) for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        top = mat[rank]
-        pv = top[col]
-        for r in range(rank + 1, len(mat)):
-            c = mat[r][col]
-            if c:
-                row = [pv * x - c * y for x, y in zip(mat[r], top)]
-                g = gcd(*row)
-                mat[r] = [x // g for x in row] if g > 1 else row
-        rank += 1
-    return rank
+    basis = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            top = basis.get(lead)
+            if top is None:
+                basis[lead] = row
+                break
+            pv, c = top[lead], row[lead]
+            reduced = {col: pv * x for col, x in row.items()}
+            for col, y in top.items():
+                reduced[col] = reduced.get(col, 0) - c * y
+            g = gcd(*reduced.values())
+            row = {col: x // g for col, x in reduced.items() if x}
+    return len(basis)
 
 
 def _report(problem, dim_v, dim_w, rank, samples=(), pairing=None) -> SpectralReport:
@@ -316,7 +331,7 @@ def exact_index(problem: GalerkinProblem) -> SpectralReport:
     for _, bs, betas, _, _ in _weight_blocks(problem):
         dim_v += len(bs)
         dim_w += len(betas)
-        rank += _d_block(problem.K, bs, betas)[1]
+        rank += _d_block(problem.K, bs, betas)[0]
     return _report(problem, dim_v, dim_w, rank)
 
 
@@ -354,7 +369,7 @@ def _block_spectra(problem: GalerkinProblem):
     factors it, G = L L^T, in weight order, so the first block whose float
     Cholesky fails raises before any D-block is built or ranked: a
     breakdown does no exact arithmetic.  The second pass takes each block's
-    cached `_d_block` triple, adds its rank over Q and forms
+    cached `_d_block` pair, adds its rank over Q and forms
     D~ = L_W^T D L_V^(-T).  The D~ blocks are
     stacked by shape, and each stack takes one call per eigensolve and one
     SVD, which run the same LAPACK routine on every matrix of the stack.
@@ -371,7 +386,7 @@ def _block_spectra(problem: GalerkinProblem):
     rank = 0
     by_shape = {}
     for bs, betas, l_v, l_w in factored:
-        _, block_rank, d_t = _d_block(problem.K, bs, betas)
+        block_rank, d_t = _d_block(problem.K, bs, betas)
         rank += block_rank
         # D * L_V^(-T) via a triangular solve, then the L_W^T factor
         solved, info = dtrtrs(l_v, d_t, lower=1)
@@ -410,8 +425,14 @@ def laplacian_pairing_defect(problem: GalerkinProblem) -> float:
 
 
 # supertrace's default heat times, which the CLI shares; like
-# check_heat_times, public to the package's modules but not in __all__
+# check_heat_times and DEFECT_GATES, public to the package's modules but not
+# in __all__
 HEAT_TIMES = (0.05, 0.5, 5.0)
+
+# the most each defect of a supertrace report may be, by the name the CLI
+# prints it under: every sample's distance from the exact index, and the
+# pairing defect
+DEFECT_GATES = {"max_supertrace_deviation": 1e-8, "pairing_defect": 1e-10}
 
 
 def check_heat_times(t_values) -> None:

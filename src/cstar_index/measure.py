@@ -580,6 +580,20 @@ class ProjectorAxiomsReport:
     rel_tolerance: float
 
 
+def defect_gates(quad: QuadratureConfig) -> dict[str, float]:
+    """The most each defect that `measure` reports may be, by the name the CLI
+    prints it under: 1e-6 on each projector axiom, a fixed bound, and ten
+    relative tolerances on the unity check and the pulled-back mass."""
+    mass = 10 * quad.rel_tolerance
+    return {
+        "unity_defect": mass,
+        "monomial_defect": 1e-6,
+        "idempotency_defect": 1e-6,
+        "equivariance_defect": 1e-6,
+        "measure_total_defect": mass,
+    }
+
+
 _PROBE_POINTS = (
     0.7 * np.exp(0.4j),
     1.0 * np.exp(2.5j),

@@ -116,6 +116,7 @@ def test_dbar_matrix_against_symbolic_differentiation():
         d, K = p.d, p.K
         sections, forms = _elements(p)
         mat = build_dbar_matrix(p)
+        assert all(type(x) is int for row in mat for x in row)
         for col, (a, b) in enumerate(sections):
             v = z**a * zb**b * (1 + z * zb) ** (-K)
             # D v, re-expanded over the form basis denominator
@@ -275,6 +276,11 @@ def _fraction_rank(rows):
     return rank
 
 
+def _sparse(rows):
+    """Dense integer rows as the {column: entry} maps of their nonzero entries."""
+    return [{col: x for col, x in enumerate(row) if x} for row in rows]
+
+
 def test_integer_rank_matches_fraction_oracle_on_d_blocks():
     # the problems the heat-ladder benchmark solves, the failing one included
     problems = [GalerkinProblem(d=d, K=d) for d in (4, 8, 12, 16, 20)]
@@ -283,16 +289,17 @@ def test_integer_rank_matches_fraction_oracle_on_d_blocks():
         GalerkinProblem(d=20, K=26),
     ]
     blocks = [
-        galerkin._d_block(p.K, bs, betas)[0]
+        ((p.K, bs, betas), _formula_d_block(p.K, bs, betas))
         for p in problems
         for _, bs, betas, _, _ in galerkin._weight_blocks(p)
     ]
     assert len(blocks) == 269
-    for block in blocks:
-        before = [list(row) for row in block]
-        assert galerkin._integer_rank(block) == _fraction_rank(block)
-        # the spectra read the same block afterwards
-        assert [list(row) for row in block] == before
+    for key, block in blocks:
+        rows = _sparse(block)
+        before = [dict(row) for row in rows]
+        assert galerkin._d_block(*key)[0] == galerkin._integer_rank(rows) == _fraction_rank(block)
+        # the elimination leaves the rows it was given as they were
+        assert rows == before
 
 
 def test_integer_rank_of_known_rank_matrices():
@@ -312,7 +319,37 @@ def test_integer_rank_of_known_rank_matrices():
         cases.append((mat.tolist(), k))
     for rows, k in cases:
         assert _fraction_rank(rows) == k
-        assert galerkin._integer_rank(rows) == k
+        assert galerkin._integer_rank(_sparse(rows)) == k
+
+
+def test_integer_rank_on_sparse_rows():
+    rank = galerkin._integer_rank
+    # empty and all-zero rows
+    assert rank([]) == 0
+    assert rank([{}, {}]) == 0
+    assert rank([{}, {3: -5}, {}]) == 1
+    # a chain, as in the D-blocks of weight >= 0: each row leads at the one
+    # column its predecessor was reduced to, so each reduction clears a lead
+    # that the previous reduction left; a last row repeating the first vanishes
+    chain = [{0: -7}] + [{j - 1: j, j: j - 7} for j in range(1, 7)]
+    assert rank(chain) == 7
+    assert rank(chain + [{0: 3}]) == 7
+    assert rank(chain + [{7: 1}]) == 8
+    # a dependent row that vanishes only after three reductions
+    basis = [{0: 1, 1: 2}, {1: 1, 2: 3}, {2: 1, 3: 4}]
+    dependent = {0: 1, 1: 4, 2: 1, 3: -20}  # basis[0] + 2 basis[1] - 5 basis[2]
+    assert rank(basis + [dependent]) == 3
+    assert rank(basis + [{**dependent, 3: -19}]) == 4
+    # entries sharing a large factor, which each reduction multiplies in and
+    # the gcd division takes out again
+    big = 2**70 * 3**40
+    scaled = [{0: 6 * big, 1: 10 * big}, {0: 9 * big, 1: 15 * big, 2: 12 * big}]
+    assert rank(scaled + [{0: 3 * big, 1: 5 * big, 2: 4 * big}]) == 2
+    assert rank(scaled + [{0: 3 * big, 1: 5 * big + 1, 2: 4 * big}]) == 3
+    for rows in (chain, basis + [dependent], scaled):
+        width = 1 + max(col for row in rows for col in row)
+        dense = [[row.get(col, 0) for col in range(width)] for row in rows]
+        assert rank(rows) == _fraction_rank(dense)
 
 
 def test_supertrace_constant_in_t():
@@ -376,7 +413,7 @@ def _per_block_spectra(problem):
     parts_v, parts_w, parts_sigma = [], [], []
     for weight, bs, betas, c_v, c_w in galerkin._weight_blocks(problem):
         d_block = _formula_d_block(problem.K, bs, betas)
-        rank += galerkin._integer_rank(d_block)
+        rank += galerkin._integer_rank(_sparse(d_block))
         factors = []
         for space, first, n in (("section", c_v, len(bs)), ("form", c_w, len(betas))):
             moments = [galerkin._beta_moment(c, s) for c in range(first, first + 2 * n - 1)]
@@ -491,15 +528,16 @@ def test_d_block_cache_is_bounded_and_read_only():
     assert galerkin._float_moments.cache_info().maxsize == 1024
     problem = GalerkinProblem(d=3, K=4)
     for _, bs, betas, _, _ in galerkin._weight_blocks(problem):
-        # every consumer gets the cached triple itself, which nothing can alter
+        # every consumer gets the cached pair itself, which nothing can alter
         d_block = galerkin._d_block(problem.K, bs, betas)
         assert d_block is galerkin._d_block(problem.K, bs, betas)
         with pytest.raises(TypeError):
-            d_block[0] = ()
-        rows, rank, d_t = d_block
-        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
-        assert rows == tuple(map(tuple, _formula_d_block(problem.K, bs, betas)))
-        assert rank == galerkin._integer_rank(rows)
+            d_block[0] = 0
+        rank, d_t = d_block
+        rows = _formula_d_block(problem.K, bs, betas)
+        assert type(rank) is int
+        assert rank == galerkin._integer_rank(_sparse(rows)) == _fraction_rank(rows)
+        assert d_t.shape == (len(bs), len(betas))
         assert np.array_equal(d_t, np.array(rows, dtype=float).T)
         with pytest.raises(ValueError):
             d_t[0, 0] = 1.0

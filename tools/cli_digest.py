@@ -12,10 +12,11 @@ code, and the arguments.  Two checkouts print the same bytes exactly when
 every case is byte-identical, so `diff` the two files.
 
 The list holds 28 `heat`, 11 `verify`, 9 `sweep`, 8 `kawasaki` and 42
-`measure` cases, 98 in all: successes, refused arguments (exit 2),
-divergent measures (exit 4) and numerical breakdowns (exit 5), among them
-the Gram Cholesky cliffs `heat --d 20 --K 26` and `--d 200 --K 10`, and
-two large heat times that exit 0 with wrong samples.
+`measure` cases, 98 in all: successes, defects above their gates (exit
+1), refused arguments (exit 2), divergent measures (exit 4) and numerical
+breakdowns (exit 5), among them the Gram Cholesky cliffs `heat --d 20
+--K 26` and `--d 200 --K 10`, and two large heat times whose wrong samples
+exit 1.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ HEAT = [
     "--d 4 --K 3",
     "--K 3 --l 2 --m 2",
     "--K 8 --l 3 --m 8",
-    # large heat times: exit 0, with samples far from the index (7.07 against
-    # 4, and 0 against 1)
+    # large heat times: exit 1, with samples far from the index (7.07 against
+    # 4, and 0 against 1) and a supertrace deviation above its gate
     "--d 3 --K 5 --t 1e15 --json",
     "--d 0 --K 3 --t 1e308 --json",
     # numerical breakdown, exit 5
@@ -129,6 +130,8 @@ MEASURE = [
     "--a 2 --m 1 --cutoff hard --tol 1e-8 --angular-nodes 64",
     "--a 2.5 --m 3",
     "--a 9 --m 4",
+    # 32 angular nodes alias the projector: equivariance defect above its
+    # gate, exit 1
     "--a 17 --m 16",
     "--a 25 --m 24",
     "--a 0.6 --m 1",
