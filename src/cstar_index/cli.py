@@ -17,11 +17,10 @@ among them), 3 unwritable output path, 4 divergent measure parameters, 5
 numerical breakdown (the float Gram factorization in heat failed, a heat
 supertrace sample is not finite, a measure quadrature did not converge
 within its budget, or an isotropy order is too large for exact point
-sums).  Each subcommand returns 0 to 3 itself; codes 4 and 5 come from
-one table, `_ERROR_EXITS`, through which `main` reports the typed
-numerical errors of every subcommand.  Any other error, a plain
-OverflowError included, is a fault of the program and ends in a traceback
-with Python's exit status 1.
+sums).  Each subcommand returns 0 to 3 itself; `main` catches the typed
+numerical errors of every subcommand and returns 4 or 5 for them.  Any
+other error, a plain OverflowError included, is a fault of the program and
+ends in a traceback with Python's exit status 1.
 
 Output is deterministic: no timestamps, sorted JSON keys, '\n' line endings,
 and rationals rendered as decimal-free p/q strings.  The float digits that
@@ -336,23 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the typed numerical errors of every subcommand: exit code and message prefix
-_ERROR_EXITS = {
-    DivergenceDetected: (4, "divergent measure"),
-    NumericalBreakdown: (5, "numerical breakdown"),
-    NonFiniteSupertrace: (5, "numerical breakdown"),
-    QuadratureError: (5, "numerical breakdown"),
-    OrderTooLargeError: (5, "numerical breakdown"),
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except tuple(_ERROR_EXITS) as exc:
-        code, what = next(v for kind, v in _ERROR_EXITS.items() if isinstance(exc, kind))
-        return _fail(f"{what}: {exc}", code)
+    except DivergenceDetected as exc:
+        return _fail(f"divergent measure: {exc}", 4)
+    except (NumericalBreakdown, NonFiniteSupertrace, QuadratureError, OrderTooLargeError) as exc:
+        return _fail(f"numerical breakdown: {exc}", 5)
 
 
 if __name__ == "__main__":

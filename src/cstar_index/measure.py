@@ -11,15 +11,15 @@ instead), and phi2 = 1 - phi1.  lambda_m is the total mass of r^(2m) against
 2 pi rho, and dv_m = (2 pi / lambda_m) rho normalizes that moment to one.
 An array of radii is evaluated piece by piece, each piece on its own radii:
 rho = r where phi1 = 1, the pure tail where phi1 = 0, and the logistic
-blend only in the band between.  A single radius is evaluated in Python
-floats with the same IEEE operations, so both give the same bits: the
-logistic blend calls the array path's expit, and the tail power its float64
-power ufunc on a 1-element array, since a 0-d power takes numpy's scalar
-loop and Python's ** calls libm's pow, and either can differ in the last
-bit.  unity_check's library quadrature asks for one Python float at a time
-and calls that scalar density directly; like lambda_m, it is memoized on
-the parameters and the relative tolerance, the one quadrature setting both
-read.
+blend only in the band between.  A lone radius is a batch of one.  The one
+other path is unity_check's scalar integrand: its library quadrature asks
+for one Python float at a time, which that integrand evaluates in Python
+floats with the array path's IEEE operations, so both give the same bits:
+the logistic blend calls the array path's expit, and the tail power its
+float64 power ufunc on a 1-element array, since a 0-d power takes numpy's
+scalar loop and Python's ** calls libm's pow, and either can differ in the
+last bit.  lambda_m and unity_check are memoized on (parameters,
+quadrature config).
 
 The projector onto fiberwise weight m averages a function over the orbit
 s e^(i g) w of a point w of the punctured plane against the m-th character
@@ -156,14 +156,14 @@ class QuadratureConfig:
 
 
 def _density_at(r: float, params: FiberMeasureParams) -> float:
-    """radial_density at one radius, in Python floats.
+    """radial_density at one finite nonnegative radius, unchecked, in Python
+    floats: unity_check's integrand, which its library quadrature calls one
+    radius at a time.
 
     Each step is the IEEE operation the array path performs on that entry,
     and the logistic blend and the tail power call the array path's own
     ufuncs (expit and numpy's power), so the two paths agree bit for bit.
     """
-    if not 0.0 <= r < math.inf:
-        raise ValueError(_BAD_RADIUS)
     x = r * r
     if x <= 1.0:
         return r
@@ -185,16 +185,14 @@ def _density_at(r: float, params: FiberMeasureParams) -> float:
 def radial_density(r, params: FiberMeasureParams):
     """Density rho(r) of the fiber measure against dr, vectorized in r.
 
-    A 0-d radius (a Python or numpy scalar, or a 0-d array) is evaluated in
-    Python floats, without numpy's per-call overhead, and returned as a
-    float equal bit for bit to the array path's entry; the tail power stays
-    numpy's, since libm's pow can differ from it in the last bit.  An array
-    returns a new array, evaluated piece by piece (module docstring).  Radii
-    must be finite and nonnegative.
+    An array returns a new array, evaluated piece by piece (module
+    docstring).  A 0-d radius (a Python or numpy scalar, or a 0-d array) is
+    evaluated as a batch of one and returned as a float, so it equals the
+    batch entry bit for bit.  Radii must be finite and nonnegative.
     """
     arr = np.asarray(r, dtype=float)
     if arr.ndim == 0:
-        return _density_at(float(arr), params)
+        return float(radial_density(arr.reshape(1), params)[0])
     if not ((arr >= 0.0) & (arr < np.inf)).all():
         raise ValueError(_BAD_RADIUS)
     x = arr * arr
@@ -375,22 +373,18 @@ def _moment_density(r, params: FiberMeasureParams):
     return r ** (2 * params.m) * radial_density(r, params)
 
 
+@lru_cache(maxsize=1024)
 def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Normalizing mass lambda_m = 2 pi * Int r^(2m) rho(r) dr.
 
     Divergent parameters are not special-cased: they surface as
-    DivergenceDetected from the tail-ratio test.  Memoized on params and
-    quad.rel_tolerance, the only field of quad it reads.
+    DivergenceDetected from the tail-ratio test.  Memoized on (params, quad).
     """
-    return _lambda_m(params, quad.rel_tolerance)
-
-
-@lru_cache(maxsize=1024)
-def _lambda_m(params: FiberMeasureParams, rel_tolerance: float) -> float:
-    val, _ = _integrate_radial(lambda r: _moment_density(r, params), (1.0, _SQRT2), rel_tolerance)
+    val, _ = _integrate_radial(lambda r: _moment_density(r, params), (1.0, _SQRT2), quad.rel_tolerance)
     return 2.0 * math.pi * val.real
 
 
+@lru_cache(maxsize=1024)
 def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Total mass of r^(2m) dv_m by an independent route; should be 1.
 
@@ -398,14 +392,9 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     pieces plus the analytic power-law tail from sqrt(2) on, where the
     cutoff has fully handed over; only the denominator comes from the
     in-house engine, so agreement with 1 cross-validates both.  Memoized,
-    like lambda_m, on params and quad.rel_tolerance.
+    like lambda_m, on (params, quad).
     """
-    return _unity_check(params, quad.rel_tolerance)
-
-
-@lru_cache(maxsize=1024)
-def _unity_check(params: FiberMeasureParams, rel_tolerance: float) -> float:
-    lam = _lambda_m(params, rel_tolerance)
+    lam = lambda_m(params, quad)
     a, m = params.a, params.m
     if 4 * a - 2 * m <= 0:
         raise DivergenceDetected(
@@ -417,7 +406,7 @@ def _unity_check(params: FiberMeasureParams, rel_tolerance: float) -> float:
         # quad passes a Python float, so the scalar density needs no dispatch
         return rr**m2 * _density_at(rr, params)
 
-    eps = 0.05 * rel_tolerance
+    eps = 0.05 * quad.rel_tolerance
     i1, _ = _scipy_quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200)
     i2, _ = _scipy_quad(integrand, 1.0, _SQRT2, epsabs=0.0, epsrel=eps, limit=200)
     tail = 4.0 * a * a * _SQRT2 ** (m2 - 4.0 * a) / (4.0 * a - m2)
@@ -474,10 +463,11 @@ def project_m(
     magnitude envelope of the integrand; the envelope and the walk's first
     call share one evaluation of u, so u sees each node of the walk once.
     The returned function accepts a complex scalar or array of finite
-    nonzero points.  Its value at w is |w|^m times the character sum of u
-    on the ring of the direction w/|w| (exact on trigonometric polynomials
-    of degree below the node count), taken from the projector's dict where
-    an earlier call computed it.
+    nonzero points; a scalar is a batch of one, so a point's value has the
+    same bits alone as in any batch.  Its value at w is |w|^m times the
+    character sum of u on the ring of the direction w/|w| (exact on
+    trigonometric polynomials of degree below the node count), taken from
+    the projector's dict where an earlier call computed it.
     The dict holds one entry per distinct direction queried and nothing is
     shared between projectors.  The closure's on_rays(c, t) is the value at
     every point t * c (radii t > 0, shaped t.shape + c.shape): |t c|^m times
@@ -547,9 +537,10 @@ def project_m(
             raise ValueError("projector arguments must be finite, with a normal nonzero modulus")
 
     def projected(w):
-        # the one ray of each point w, at radius 1: 1.0 * |w| is exact
-        out = on_rays(w, 1.0)
-        return complex(out) if np.ndim(w) == 0 else out
+        # the one ray of each point w, at radius 1: 1.0 * |w| is exact; a
+        # lone point is a batch of one, so |w|**m takes the array power
+        out = on_rays(np.atleast_1d(w), 1.0)
+        return complex(out[0]) if np.ndim(w) == 0 else out
 
     def on_rays(c, t):
         """The projection at every point t * c, shaped t.shape + c.shape.

@@ -73,8 +73,9 @@ def test_radial_density_vectorized_and_validated():
 
 @pytest.mark.parametrize("cutoff", list(Cutoff))
 def test_scalar_radius_matches_array_path(cutoff):
-    # a 0-d radius takes a float path; it must give the array path's entry
-    # bit for bit, including -4a-2 integer (a = 0.25, 0.5, 1, 2)
+    # unity_check's scalar integrand takes a float path, and a 0-d radius a
+    # batch of one; both must give the array path's entry bit for bit,
+    # including -4a-2 integer (a = 0.25, 0.5, 1, 2)
     rng = np.random.default_rng(7)
     s2 = math.sqrt(2.0)
     radii = np.concatenate([
@@ -90,11 +91,13 @@ def test_scalar_radius_matches_array_path(cutoff):
         p = FiberMeasureParams(a=a, m=0, cutoff=cutoff)
         expected = radial_density(radii, p)
         for r, want in zip(radii.tolist(), expected.tolist()):
-            got = radial_density(r, p)
-            assert type(got) is float
-            assert got == want, (a, r)
-            assert radial_density(np.float64(r), p) == want
-            assert radial_density(np.array(r), p) == want
+            scalar = measure._density_at(r, p)
+            assert type(scalar) is float
+            assert scalar == want, (a, r)
+            for lone in (r, np.float64(r), np.array(r)):
+                got = radial_density(lone, p)
+                assert type(got) is float
+                assert got == want, (a, r)
 
 
 def _three_pass_density(r, params):
@@ -158,7 +161,7 @@ def test_density_pieces_match_three_pass_oracle(cutoff):
 def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol):
     params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
     quad = QuadratureConfig(rel_tolerance=tol)
-    measure._unity_check.cache_clear()
+    unity_check.cache_clear()
     fast = unity_check(params, quad)
     radii = []
 
@@ -168,7 +171,7 @@ def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol
 
     monkeypatch.setattr(measure, "_density_at", array_path)
     # the memo would return fast without evaluating anything
-    measure._unity_check.cache_clear()
+    unity_check.cache_clear()
     assert unity_check(params, quad) == fast
     assert radii
 
@@ -187,37 +190,44 @@ def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
     monkeypatch.setattr(measure, "_scipy_quad", counted)
     params = FiberMeasureParams(a=1.3, m=1)
     lambda_m(params, DEFAULT)
-    measure._unity_check.cache_clear()
+    unity_check.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(measure, "radial_density", dispatch)
         first = unity_check(params, DEFAULT)
     assert calls == [(0.0, 1.0), (1.0, math.sqrt(2.0))]
     assert unity_check(params, DEFAULT).hex() == first.hex()
     assert len(calls) == 2
-    assert measure._unity_check.cache_info().maxsize == 1024
-    assert measure._lambda_m.cache_info().maxsize == 1024
+    assert unity_check.cache_info().maxsize == 1024
+    assert lambda_m.cache_info().maxsize == 1024
     # an exception is not memoized: divergent parameters raise every time
     for _ in range(2):
         with pytest.raises(DivergenceDetected):
             unity_check(FiberMeasureParams(a=0.5, m=2), DEFAULT)
-    assert measure._unity_check.cache_info().currsize == 1
+    assert unity_check.cache_info().currsize == 1
 
 
-def test_memos_ignore_angular_nodes():
-    # lambda_m and unity_check read only rel_tolerance, so two configs that
-    # differ in angular_nodes alone share their memo entries
+def test_memos_key_on_params_and_config():
+    # lambda_m and unity_check are memoized on (params, quad): equal configs
+    # share one entry, and another rel_tolerance or angular_nodes makes
+    # another, though neither value reads angular_nodes
     params = FiberMeasureParams(a=2.0, m=1)
     coarse, fine = QuadratureConfig(angular_nodes=32), QuadratureConfig(angular_nodes=64)
     assert coarse != fine
-    measure._lambda_m.cache_clear()
-    measure._unity_check.cache_clear()
-    assert lambda_m(params, coarse) == lambda_m(params, fine)
+    lambda_m.cache_clear()
+    unity_check.cache_clear()
+    first = lambda_m(params, coarse)
+    assert lambda_m(params, QuadratureConfig(angular_nodes=32)) == first
+    assert unity_check(params, coarse) == unity_check(params, QuadratureConfig())
+    assert lambda_m.cache_info().misses == 1
+    assert unity_check.cache_info().misses == 1
+    assert lambda_m(params, fine) == first
     assert unity_check(params, coarse) == unity_check(params, fine)
-    assert measure._lambda_m.cache_info().misses == 1
-    assert measure._unity_check.cache_info().misses == 1
+    assert lambda_m.cache_info().misses == 2
+    assert unity_check.cache_info().misses == 2
     # another tolerance is another entry
     lambda_m(params, QuadratureConfig(rel_tolerance=1e-8, angular_nodes=64))
-    assert measure._lambda_m.cache_info().misses == 2
+    assert lambda_m.cache_info().misses == 3
+    assert lambda_m.cache_info().currsize == 3
 
 
 def test_cutoffs_agree_outside_transition_band():
@@ -495,7 +505,7 @@ def walks(monkeypatch):
     ],
 )
 def test_batched_walk_matches_oracle_on_lambda(walks, a, m, cutoff, tol):
-    measure._lambda_m.__wrapped__(FiberMeasureParams(a=a, m=m, cutoff=cutoff), tol)
+    lambda_m.__wrapped__(FiberMeasureParams(a=a, m=m, cutoff=cutoff), QuadratureConfig(tol))
     _same_walks(walks)
 
 
@@ -569,7 +579,7 @@ def test_projector_build_evaluates_u_once_per_walk_node(walks):
 
 def test_batched_walk_matches_oracle_on_failures(walks):
     with pytest.raises(DivergenceDetected):
-        measure._lambda_m.__wrapped__(FiberMeasureParams(a=0.4, m=1), DEFAULT.rel_tolerance)
+        lambda_m.__wrapped__(FiberMeasureParams(a=0.4, m=1), DEFAULT)
     # what measure --a 6.1 --m 12 meets: the pulled-back integrand is
     # singular at s = 0, so the first segment never settles
     p = FiberMeasureParams(a=6.1, m=12)
@@ -594,7 +604,7 @@ def test_walk_value_is_its_rule_summed(walks, a, m, cutoff, tol):
     # one's estimate on its own, added in rule order from 0j, gives the
     # value bit for bit
     p, q = FiberMeasureParams(a=a, m=m, cutoff=cutoff), QuadratureConfig(tol)
-    measure._lambda_m.__wrapped__(p, q.rel_tolerance)
+    lambda_m.__wrapped__(p, q)
     pullback_measure_total(p, q, complex(measure._PROBE_POINTS[2]))
     assert len(walks) >= 2  # and lambda_m's own walk where its cache was cold
     for f, args, kwargs, _ in walks:
@@ -839,26 +849,11 @@ def test_projector_evaluates_each_direction_once(rule_sizes):
 _BATCH_POINTS = 0.9 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False))
 
 
-def _scalar_power_differs(m):
-    # on_rays takes |w|**m of a 0-d point with numpy's scalar power and of
-    # an array with the float64 power ufunc, which may differ in the last bit
-    moduli = np.abs(_BATCH_POINTS)
-    return any(np.abs(np.complex128(z)) ** m != r for z, r in zip(_BATCH_POINTS, moduli**m))
-
-
-def _batch_case(a, m):
-    reason = "|w|**m: numpy's scalar power and its array power differ in the last bit"
-    mark = pytest.mark.xfail(_scalar_power_differs(m), reason=reason, strict=True)
-    return pytest.param(a, m, marks=mark)
-
-
-@pytest.mark.parametrize(
-    "a, m", [_batch_case(1.0, 0), _batch_case(2.0, 1), _batch_case(2.5, 3), _batch_case(9.0, 4)]
-)
+@pytest.mark.parametrize("a, m", [(1.0, 0), (2.0, 1), (2.5, 3), (9.0, 4)])
 def test_projector_value_does_not_depend_on_batch(a, m):
     # a direction's value is its own sum: the other directions of a call,
-    # and so the call's size, must not move its bits (where the scalar
-    # power differs, a lone point's |w|**m moves, not its ring value)
+    # and so the call's size, must not move its bits, and a lone point is
+    # a batch of one, so its |w|**m is the array power's
     p = FiberMeasureParams(a=a, m=m)
     batched = project_m(measure._bump, p, DEFAULT)(_BATCH_POINTS)
     single = project_m(measure._bump, p, DEFAULT)
