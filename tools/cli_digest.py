@@ -11,6 +11,16 @@ One line per case: the sha256 of its (stdout, stderr, exit code), the exit
 code, and the arguments.  Two checkouts print the same bytes exactly when
 every case is byte-identical, so `diff` the two files.
 
+`tools/cli_digest.expected` holds this tool's lines for the checkout it is
+committed with, and `tests/test_cli_digest.py` checks every case against it
+in tier-1.  A change that moves output regenerates it from the root of the
+checkout with
+
+    python3 tools/cli_digest.py . > tools/cli_digest.expected
+
+so that its diff names the cases that moved.  The float digests hold for
+one platform's numpy and BLAS.
+
 The list holds 28 `heat`, 11 `verify`, 9 `sweep`, 8 `kawasaki` and 42
 `measure` cases, 98 in all: successes, defects above their gates (exit
 1), refused arguments (exit 2), divergent measures (exit 4) and numerical
@@ -165,6 +175,13 @@ CASES = [
 ]
 
 
+def write_specs(workdir) -> None:
+    """Write the `kawasaki` spec files, `broken.json` among them, into workdir."""
+    for name, doc in SPECS.items():
+        Path(workdir, name).write_text(json.dumps(doc), encoding="utf-8")
+    Path(workdir, "broken.json").write_text("{not json", encoding="utf-8")
+
+
 def digest(stdout: bytes, stderr: bytes, code: int) -> str:
     """sha256 of the three, each length-prefixed so that no two triples collide."""
     h = hashlib.sha256()
@@ -191,9 +208,7 @@ def main(argv: list[str]) -> int:
         "MKL_NUM_THREADS": "1",
     }
     with tempfile.TemporaryDirectory() as workdir:
-        for name, doc in SPECS.items():
-            Path(workdir, name).write_text(json.dumps(doc), encoding="utf-8")
-        Path(workdir, "broken.json").write_text("{not json", encoding="utf-8")
+        write_specs(workdir)
         for case in CASES:
             proc = subprocess.run(
                 [sys.executable, "-m", "cstar_index.cli", *case],
