@@ -54,7 +54,6 @@ from functools import lru_cache
 from math import factorial, gcd, isfinite
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .analytic import check_family_args
 
@@ -349,10 +348,10 @@ def _hankel_index(n: int) -> np.ndarray:
 
 
 def _gram_cholesky(
-    moments: np.ndarray, first: int, n: int, problem: GalerkinProblem, space: str, weight: int
+    dpotrf, moments: np.ndarray, first: int, n: int, problem: GalerkinProblem, space: str, weight: int
 ) -> np.ndarray:
-    """Lower float Cholesky factor of the n x n Hankel block of moments[first:],
-    or NumericalBreakdown."""
+    """Lower float Cholesky factor, by LAPACK's dpotrf, of the n x n Hankel
+    block of moments[first:], or NumericalBreakdown."""
     hankel = moments[first + _hankel_index(n)]
     factor, info = dpotrf(hankel, lower=1, clean=1)
     if info > 0:
@@ -377,11 +376,14 @@ def _block_spectra(problem: GalerkinProblem):
     as for the full D~, because n_V - n_W has the sign of d + 1 in every
     block.
     """
+    # scipy loads only where a float walk runs, once per walk
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+
     moments = _float_moments(2 * problem.K + problem.d + 2)
     factored = []
     for weight, bs, betas, c_v, c_w in _weight_blocks(problem):
-        l_v = _gram_cholesky(moments, c_v, len(bs), problem, "section", weight)
-        l_w = _gram_cholesky(moments, c_w, len(betas), problem, "form", weight)
+        l_v = _gram_cholesky(dpotrf, moments, c_v, len(bs), problem, "section", weight)
+        l_w = _gram_cholesky(dpotrf, moments, c_w, len(betas), problem, "form", weight)
         factored.append((bs, betas, l_v, l_w))
     rank = 0
     by_shape = {}

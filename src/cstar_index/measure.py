@@ -73,8 +73,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.special import expit
 
 __all__ = [
     "DivergenceDetected",
@@ -169,6 +167,8 @@ def _density_at(r: float, params: FiberMeasureParams) -> float:
         return r
     p1 = 0.0
     if params.cutoff is Cutoff.SMOOTH_BUMP and x < 2.0:
+        from scipy.special import expit
+
         t = x - 1.0
         p1 = float(expit(1.0 / t - 1.0 / (1.0 - t)))
     p2 = 1.0 - p1
@@ -208,6 +208,8 @@ def radial_density(r, params: FiberMeasureParams):
     band = (x > 1.0) & ~tail
     rb = arr[band]
     if rb.size:
+        from scipy.special import expit
+
         t = x[band] - 1.0
         # quotient step exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))), written
         # through the logistic function for stability at both ends
@@ -394,6 +396,8 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     in-house engine, so agreement with 1 cross-validates both.  Memoized,
     like lambda_m, on (params, quad).
     """
+    from scipy.integrate import quad as _scipy_quad
+
     lam = lambda_m(params, quad)
     a, m = params.a, params.m
     if 4 * a - 2 * m <= 0:

@@ -174,6 +174,26 @@ def test_cli_imports_no_private_name_of_the_computing_modules():
     assert private == []
 
 
+def test_exact_commands_load_no_scipy(tmp_path):
+    # verify, sweep and kawasaki call no scipy function, and the modules
+    # import scipy only where they call it, so one-shot runs never load it
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(kawasaki_to_json_dict(example_to_kawasaki(4, 5))), encoding="utf-8")
+    child = (
+        "import sys\n"
+        "from cstar_index import cli\n"
+        "for argv in (['verify', '--l', '12', '--m', '35'], ['sweep', '--l-max', '6', '--m-max', '9'],\n"
+        f"             ['kawasaki', '--spec', {str(spec)!r}]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=_child_env(), capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
 def test_sweep_point_sums_match_verify(capsys):
     rows = sweep_rows(12, 30)
     for l, m, _, _, _, mu_b, _, _ in rows:

@@ -178,7 +178,7 @@ def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol
 
 def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
     calls = []
-    library_quad = measure._scipy_quad
+    library_quad = scipy_quad
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
@@ -187,7 +187,8 @@ def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
     def dispatch(r, p):
         raise AssertionError("unity_check's integrand calls _density_at directly")
 
-    monkeypatch.setattr(measure, "_scipy_quad", counted)
+    # unity_check imports quad from scipy.integrate when it runs
+    monkeypatch.setattr("scipy.integrate.quad", counted)
     params = FiberMeasureParams(a=1.3, m=1)
     lambda_m(params, DEFAULT)
     unity_check.cache_clear()
