@@ -11,15 +11,22 @@ instead), and phi2 = 1 - phi1.  lambda_m is the total mass of r^(2m) against
 2 pi rho, and dv_m = (2 pi / lambda_m) rho normalizes that moment to one.
 An array of radii is evaluated piece by piece, each piece on its own radii:
 rho = r where phi1 = 1, the pure tail where phi1 = 0, and the logistic
-blend only in the band between.  A lone radius is a batch of one.  The one
-other path is unity_check's scalar integrand: its library quadrature asks
-for one Python float at a time, which that integrand evaluates in Python
-floats with the array path's IEEE operations, so both give the same bits:
-the logistic blend calls the array path's expit, and the tail power its
-float64 power ufunc on a 1-element array, since a 0-d power takes numpy's
-scalar loop and Python's ** calls libm's pow, and either can differ in the
-last bit.  lambda_m and unity_check are memoized on (parameters,
-quadrature config).
+blend only in the band between.  A lone radius is a batch of one, so every
+radius takes that one path.  lambda_m and unity_check are memoized on
+(parameters, quadrature config).
+
+unity_check recomputes the mass of r^(2m) dv_m by a route that shares only
+the density with lambda_m's walk (below).  Its numerator has three parts
+plus the analytic tail from sqrt(2) on: 1/(2m+2) exactly on [0, 1], where
+rho = r for both cutoffs; on [1, sqrt(2)] the hard cutoff's closed form, as
+rho is pure tail there; and for the smooth cutoff a tanh-sinh rule on
+[1, sqrt(2)] (Takahasi and Mori 1974; Mori and Sugihara 2001) whose step
+halves until two levels agree within 0.05 rel_tolerance relative.  The
+rule's nodes depend on the interval alone, so each level's are built once
+per process and evaluated in one radial_density call.  Its family differs
+from the walk's Gauss-Legendre panels on purpose, so that the two share no
+systematic error; were the walk made double-exponential, the check would
+move to another family, such as Gauss-Kronrod.
 
 The projector onto fiberwise weight m averages a function over the orbit
 s e^(i g) w of a point w of the punctured plane against the m-th character
@@ -91,6 +98,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 MAX_SUBDIVISIONS = 12  # the radial walk's doubling budget, which the CLI prints
+_BAND_LEVELS = 6  # unity_check's tanh-sinh budget: steps 1/8 down to 1/256
 _MIN_REL_TOLERANCE = 1000 * np.finfo(float).eps
 _BAD_RADIUS = "radius must be finite and nonnegative"
 
@@ -140,8 +148,9 @@ class QuadratureConfig:
     angular_nodes: int = 32
 
     def __post_init__(self) -> None:
-        # unity_check hands 0.05 * rel_tolerance to scipy's quad, which
-        # refuses a relative tolerance below 50 machine epsilons
+        # unity_check's band rule stops at 0.05 * rel_tolerance relative; the
+        # floor keeps that at 50 machine epsilons, above the rounding noise
+        # of its level sums (near 1e-15 a level-to-level change never settles)
         if not (_MIN_REL_TOLERANCE < self.rel_tolerance <= 0.1):
             raise ValueError(f"rel_tolerance must lie in ({_MIN_REL_TOLERANCE:.3g}, 0.1]")
         if type(self.angular_nodes) is not int or self.angular_nodes < 8:
@@ -151,35 +160,6 @@ class QuadratureConfig:
 # ---------------------------------------------------------------------------
 # Density
 # ---------------------------------------------------------------------------
-
-
-def _density_at(r: float, params: FiberMeasureParams) -> float:
-    """radial_density at one finite nonnegative radius, unchecked, in Python
-    floats: unity_check's integrand, which its library quadrature calls one
-    radius at a time.
-
-    Each step is the IEEE operation the array path performs on that entry,
-    and the logistic blend and the tail power call the array path's own
-    ufuncs (expit and numpy's power), so the two paths agree bit for bit.
-    """
-    x = r * r
-    if x <= 1.0:
-        return r
-    p1 = 0.0
-    if params.cutoff is Cutoff.SMOOTH_BUMP and x < 2.0:
-        from scipy.special import expit
-
-        t = x - 1.0
-        p1 = float(expit(1.0 / t - 1.0 / (1.0 - t)))
-    p2 = 1.0 - p1
-    tail = 0.0
-    if p2 > 0.0:
-        a = params.a
-        # not Python's ** (libm pow) nor a 0-d power (numpy's scalar loop):
-        # either differs in the last bit from the float64 power ufunc (SIMD
-        # where the CPU has it) for some r
-        tail = 4.0 * a * a * float((np.array([r]) ** (-4.0 * a - 2.0))[0])
-    return (p1 + p2 * tail) * r
 
 
 def radial_density(r, params: FiberMeasureParams):
@@ -386,18 +366,67 @@ def lambda_m(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     return 2.0 * math.pi * val.real
 
 
+# the tanh-sinh rule on [1, sqrt(2)]: level 0 steps by _TS_STEP in t, each
+# later level halves it, and |t| stays within _TS_SPAN, past which every node
+# rounds to an end of the band and weighs below 1e-17
+_TS_STEP = 0.125
+_TS_SPAN = 3.25
+
+
+@lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int):
+    """The nodes and weights that a tanh-sinh level adds on [1, sqrt(2)].
+
+    Level 0 has every multiple of its step h in t, and a later level the
+    odd multiples of its own, so each level's estimate is half the one
+    before plus its own weighted sum.  A node is 1 + d (1 + tanh(pi/2 sinh t))
+    for the band's half-width d.  Shared, so read-only.
+    """
+    h = _TS_STEP / 2**level
+    k = np.arange(-int(_TS_SPAN / h), int(_TS_SPAN / h) + 1)
+    t = h * (k if level == 0 else k[k % 2 == 1])
+    u = 0.5 * math.pi * np.sinh(t)
+    half = 0.5 * (_SQRT2 - 1.0)
+    nodes = 1.0 + half * (1.0 + np.tanh(u))  # within [1, sqrt(2)], as 1 + 2 half = sqrt(2)
+    weights = h * half * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _band_mass(params: FiberMeasureParams, rel_tolerance: float) -> float:
+    """Int_1^sqrt(2) r^(2m) rho(r) dr: in closed form for the hard cutoff,
+    by tanh-sinh step halving for the smooth one.
+
+    The rule returns the first level within rel_tolerance of the level
+    before, relative, and raises QuadratureError past _BAND_LEVELS levels.
+    """
+    a, m2 = params.a, 2 * params.m
+    if params.cutoff is Cutoff.HARD_STEP:
+        # the pure tail 4 a^2 r^(2m-4a-1); unity_check refuses 2m = 4a
+        e = m2 - 4.0 * a
+        return 4.0 * a * a * math.expm1(e * math.log(_SQRT2)) / e
+    value = 0.0
+    for level in range(_BAND_LEVELS):
+        r, w = _tanh_sinh_level(level)
+        part = float(np.dot(r**m2 * radial_density(r, params), w))
+        prev, value = value, (part if level == 0 else 0.5 * value + part)
+        if level and abs(value - prev) <= rel_tolerance * abs(value):
+            return value
+    raise QuadratureError(f"tanh-sinh rule on [1, sqrt(2)] did not settle within {_BAND_LEVELS} levels")
+
+
 @lru_cache(maxsize=1024)
 def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
     """Total mass of r^(2m) dv_m by an independent route; should be 1.
 
-    The numerator uses library adaptive quadrature on the two bounded
-    pieces plus the analytic power-law tail from sqrt(2) on, where the
-    cutoff has fully handed over; only the denominator comes from the
-    in-house engine, so agreement with 1 cross-validates both.  Memoized,
-    like lambda_m, on (params, quad).
+    The numerator is 1/(2m+2) on [0, 1], the band [1, sqrt(2)] in closed
+    form (hard cutoff) or by a tanh-sinh rule to 0.05 rel_tolerance
+    (smooth), and the analytic power-law tail from sqrt(2) on, where the
+    cutoff has fully handed over (module docstring).  Only the denominator
+    comes from lambda_m's walk, and the density is all the two share, so
+    agreement with 1 cross-validates both.  Memoized, like lambda_m, on
+    (params, quad).
     """
-    from scipy.integrate import quad as _scipy_quad
-
     lam = lambda_m(params, quad)
     a, m = params.a, params.m
     if 4 * a - 2 * m <= 0:
@@ -405,16 +434,9 @@ def unity_check(params: FiberMeasureParams, quad: QuadratureConfig) -> float:
             f"moment m={m} has a non-integrable tail for a={a}"
         )
     m2 = 2 * m
-
-    def integrand(rr: float) -> float:
-        # quad passes a Python float, so the scalar density needs no dispatch
-        return rr**m2 * _density_at(rr, params)
-
-    eps = 0.05 * quad.rel_tolerance
-    i1, _ = _scipy_quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200)
-    i2, _ = _scipy_quad(integrand, 1.0, _SQRT2, epsabs=0.0, epsrel=eps, limit=200)
+    band = _band_mass(params, 0.05 * quad.rel_tolerance)
     tail = 4.0 * a * a * _SQRT2 ** (m2 - 4.0 * a) / (4.0 * a - m2)
-    return 2.0 * math.pi * (i1 + i2 + tail) / lam
+    return 2.0 * math.pi * (1.0 / (m2 + 2) + band + tail) / lam
 
 
 def pullback_measure_total(

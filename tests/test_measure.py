@@ -73,9 +73,8 @@ def test_radial_density_vectorized_and_validated():
 
 @pytest.mark.parametrize("cutoff", list(Cutoff))
 def test_scalar_radius_matches_array_path(cutoff):
-    # unity_check's scalar integrand takes a float path, and a 0-d radius a
-    # batch of one; both must give the array path's entry bit for bit,
-    # including -4a-2 integer (a = 0.25, 0.5, 1, 2)
+    # a 0-d radius is a batch of one, so it must give the array path's
+    # entry bit for bit, including -4a-2 integer (a = 0.25, 0.5, 1, 2)
     rng = np.random.default_rng(7)
     s2 = math.sqrt(2.0)
     radii = np.concatenate([
@@ -91,9 +90,6 @@ def test_scalar_radius_matches_array_path(cutoff):
         p = FiberMeasureParams(a=a, m=0, cutoff=cutoff)
         expected = radial_density(radii, p)
         for r, want in zip(radii.tolist(), expected.tolist()):
-            scalar = measure._density_at(r, p)
-            assert type(scalar) is float
-            assert scalar == want, (a, r)
             for lone in (r, np.float64(r), np.array(r)):
                 got = radial_density(lone, p)
                 assert type(got) is float
@@ -148,56 +144,126 @@ def test_density_pieces_match_three_pass_oracle(cutoff):
             assert np.array_equal(r, kept)
 
 
+def _band_oracle(params):
+    # scipy's quad on [1, sqrt(2)], about as tight as it goes
+    m2 = 2 * params.m
+    return scipy_quad(
+        lambda r: r**m2 * radial_density(r, params), 1.0, math.sqrt(2.0),
+        epsabs=0.0, epsrel=1e-13, limit=400,
+    )[0]
+
+
+def _tail(params):
+    a, m2 = params.a, 2 * params.m
+    return 4.0 * a * a * math.sqrt(2.0) ** (m2 - 4.0 * a) / (4.0 * a - m2)
+
+
 @pytest.mark.parametrize(
-    "a, m, cutoff, tol",
+    "cutoff, tols",
     [
-        (1.0, 0, Cutoff.SMOOTH_BUMP, 1e-6),
-        (1.5, 2, Cutoff.SMOOTH_BUMP, 1e-6),
-        # on these two a libm tail power (Python's **) moves the result
-        (0.9, 0, Cutoff.HARD_STEP, 1e-6),
-        (2.3, 2, Cutoff.HARD_STEP, 1e-9),
+        (Cutoff.SMOOTH_BUMP, (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)),
+        # the hard band is a closed form at every tol, and quad resolves its
+        # steep power only to about 1e-14 relative (a = 25, m = 3), so 1e-12
+        # is left to test_unity_closed_forms_match_quad's high-precision oracle
+        (Cutoff.HARD_STEP, (1e-4, 1e-6, 1e-8, 1e-10)),
     ],
 )
-def test_unity_check_matches_array_path_integrand(monkeypatch, a, m, cutoff, tol):
-    params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
-    quad = QuadratureConfig(rel_tolerance=tol)
-    unity_check.cache_clear()
-    fast = unity_check(params, quad)
-    radii = []
+def test_unity_numerator_matches_quad_oracle(cutoff, tols):
+    # the numerator 1/(2m+2) + band + tail against quad on [0, 1] and on the
+    # band, for every integrable m up to 5, within 1e-3 tol relative
+    worst = 0.0
+    for a in (0.6, 1.0, 1.518, 2.5, 6.1, 9.0, 17.0, 25.0):
+        for m in range(min(5, math.ceil(2 * a) - 1) + 1):
+            params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
+            m2 = 2 * m
+            inner = scipy_quad(lambda r: r**m2 * radial_density(r, params), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+            want = inner + _band_oracle(params) + _tail(params)
+            for tol in tols:
+                got = 1.0 / (m2 + 2) + measure._band_mass(params, 0.05 * tol) + _tail(params)
+                err = abs(got - want) / want / tol
+                assert err <= 1e-3, (a, m, tol, err)
+                worst = max(worst, err)
+    assert worst > 0.0  # the two routes are not one
 
-    def array_path(r, p):
-        radii.append(r)
-        return float(radial_density(np.array([r]), p)[0])
 
-    monkeypatch.setattr(measure, "_density_at", array_path)
-    # the memo would return fast without evaluating anything
-    unity_check.cache_clear()
-    assert unity_check(params, quad) == fast
-    assert radii
+def test_unity_closed_forms_match_quad():
+    # rho = r on [0, 1] for both cutoffs, and the hard cutoff's band is its
+    # pure tail, whose integral unity_check takes in closed form
+    for a in (0.3, 0.6, 1.0, 2.37, 6.1, 25.0):
+        for m in range(math.ceil(2 * a)):
+            m2 = 2 * m
+            for cutoff in Cutoff:
+                params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
+                inner = scipy_quad(lambda r: r**m2 * radial_density(r, params), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+                assert abs(inner - 1.0 / (m2 + 2)) <= 1e-14 / (m2 + 2), (a, m, cutoff)
+            hard = FiberMeasureParams(a=a, m=m, cutoff=Cutoff.HARD_STEP)
+            got = measure._band_mass(hard, 1e-9)
+            assert abs(got - _band_oracle(hard)) <= 1e-12 * got, (a, m)
+            with mpmath.workdps(30):
+                exact = mpmath.quad(lambda r: 4 * hard.a**2 * r ** (m2 - 4 * hard.a - 1), [1, mpmath.sqrt(2)])
+            assert abs(got - float(exact)) <= 1e-15 * got, (a, m)
 
 
-def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
-    calls = []
-    library_quad = scipy_quad
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return library_quad(*args, **kwargs)
-
-    def dispatch(r, p):
-        raise AssertionError("unity_check's integrand calls _density_at directly")
-
-    # unity_check imports quad from scipy.integrate when it runs
-    monkeypatch.setattr("scipy.integrate.quad", counted)
+def test_band_rule_out_of_levels_raises(monkeypatch):
+    # the rule compares two levels at least, so a budget of one never settles
+    monkeypatch.setattr(measure, "_BAND_LEVELS", 1)
     params = FiberMeasureParams(a=1.3, m=1)
     lambda_m(params, DEFAULT)
     unity_check.cache_clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(measure, "radial_density", dispatch)
-        first = unity_check(params, DEFAULT)
-    assert calls == [(0.0, 1.0), (1.0, math.sqrt(2.0))]
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="tanh-sinh"):
+            unity_check(params, DEFAULT)
+    assert unity_check.cache_info().currsize == 0
+
+
+def test_band_rule_nodes_are_shared_and_read_only():
+    total = 0
+    for level in range(measure._BAND_LEVELS):
+        nodes, weights = measure._tanh_sinh_level(level)
+        assert measure._tanh_sinh_level(level)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert np.all((nodes >= 1.0) & (nodes <= math.sqrt(2.0)))
+        total += nodes.size
+    # level 0 alone integrates 1 on the band, and each level halves the step
+    r, w = measure._tanh_sinh_level(0)
+    assert abs(w.sum() - (math.sqrt(2.0) - 1.0)) < 1e-15
+    assert measure._tanh_sinh_level(1)[0].size == r.size - 1
+
+
+def test_unity_check_is_independent_of_the_walk(monkeypatch):
+    # with lambda_m memoized, unity_check runs no part of the radial walk
+    params = [FiberMeasureParams(a=1.3, m=1, cutoff=c) for c in Cutoff]
+    for p in params:
+        lambda_m(p, DEFAULT)
+
+    def walk(*args, **kwargs):
+        raise AssertionError("unity_check ran the radial walk")
+
+    monkeypatch.setattr(measure, "_integrate_radial", walk)
+    monkeypatch.setattr(measure, "_refine", walk)
+    unity_check.cache_clear()
+    for p in params:
+        assert abs(unity_check(p, DEFAULT) - 1.0) < 1e-6
+
+
+def test_repeated_unity_check_makes_no_quad_call(monkeypatch):
+    # the memo's repeat evaluates the density nowhere
+    calls = []
+    density = measure.radial_density
+
+    def counted(r, p):
+        calls.append(np.size(r))
+        return density(r, p)
+
+    params = FiberMeasureParams(a=1.3, m=1)
+    lambda_m(params, DEFAULT)
+    unity_check.cache_clear()
+    monkeypatch.setattr(measure, "radial_density", counted)
+    first = unity_check(params, DEFAULT)
+    assert len(calls) >= 2  # two levels at least, one call each
+    evaluated = len(calls)
     assert unity_check(params, DEFAULT).hex() == first.hex()
-    assert len(calls) == 2
+    assert len(calls) == evaluated
     assert unity_check.cache_info().maxsize == 1024
     assert lambda_m.cache_info().maxsize == 1024
     # an exception is not memoized: divergent parameters raise every time
@@ -268,7 +334,8 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tolerance=0.0)
     with pytest.raises(ValueError):
-        QuadratureConfig(rel_tolerance=1e-13)  # scipy quad cannot reach it
+        # below the floor that keeps unity_check's band rule above rounding
+        QuadratureConfig(rel_tolerance=1e-13)
     with pytest.raises(ValueError):
         QuadratureConfig(angular_nodes=4)
 
