@@ -144,12 +144,11 @@ def test_density_pieces_match_three_pass_oracle(cutoff):
             assert np.array_equal(r, kept)
 
 
-def _band_oracle(params):
-    # scipy's quad on [1, sqrt(2)], about as tight as it goes
+def _quad_oracle(params, lo, hi):
+    # scipy's quad of r^(2m) rho(r) on [lo, hi], about as tight as it goes
     m2 = 2 * params.m
     return scipy_quad(
-        lambda r: r**m2 * radial_density(r, params), 1.0, math.sqrt(2.0),
-        epsabs=0.0, epsrel=1e-13, limit=400,
+        lambda r: r**m2 * radial_density(r, params), lo, hi, epsabs=0.0, epsrel=1e-13, limit=400
     )[0]
 
 
@@ -176,8 +175,7 @@ def test_unity_numerator_matches_quad_oracle(cutoff, tols):
         for m in range(min(5, math.ceil(2 * a) - 1) + 1):
             params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
             m2 = 2 * m
-            inner = scipy_quad(lambda r: r**m2 * radial_density(r, params), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
-            want = inner + _band_oracle(params) + _tail(params)
+            want = _quad_oracle(params, 0.0, 1.0) + _quad_oracle(params, 1.0, math.sqrt(2.0)) + _tail(params)
             for tol in tols:
                 got = 1.0 / (m2 + 2) + measure._band_mass(params, 0.05 * tol) + _tail(params)
                 err = abs(got - want) / want / tol
@@ -194,11 +192,11 @@ def test_unity_closed_forms_match_quad():
             m2 = 2 * m
             for cutoff in Cutoff:
                 params = FiberMeasureParams(a=a, m=m, cutoff=cutoff)
-                inner = scipy_quad(lambda r: r**m2 * radial_density(r, params), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+                inner = _quad_oracle(params, 0.0, 1.0)
                 assert abs(inner - 1.0 / (m2 + 2)) <= 1e-14 / (m2 + 2), (a, m, cutoff)
             hard = FiberMeasureParams(a=a, m=m, cutoff=Cutoff.HARD_STEP)
             got = measure._band_mass(hard, 1e-9)
-            assert abs(got - _band_oracle(hard)) <= 1e-12 * got, (a, m)
+            assert abs(got - _quad_oracle(hard, 1.0, math.sqrt(2.0))) <= 1e-12 * got, (a, m)
             with mpmath.workdps(30):
                 exact = mpmath.quad(lambda r: 4 * hard.a**2 * r ** (m2 - 4 * hard.a - 1), [1, mpmath.sqrt(2)])
             assert abs(got - float(exact)) <= 1e-15 * got, (a, m)
@@ -217,13 +215,11 @@ def test_band_rule_out_of_levels_raises(monkeypatch):
 
 
 def test_band_rule_nodes_are_shared_and_read_only():
-    total = 0
     for level in range(measure._BAND_LEVELS):
         nodes, weights = measure._tanh_sinh_level(level)
         assert measure._tanh_sinh_level(level)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert np.all((nodes >= 1.0) & (nodes <= math.sqrt(2.0)))
-        total += nodes.size
     # level 0 alone integrates 1 on the band, and each level halves the step
     r, w = measure._tanh_sinh_level(0)
     assert abs(w.sum() - (math.sqrt(2.0) - 1.0)) < 1e-15
