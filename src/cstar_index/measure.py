@@ -373,7 +373,7 @@ _TS_STEP = 0.125
 _TS_SPAN = 3.25
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per level, below _BAND_LEVELS
 def _tanh_sinh_level(level: int):
     """The nodes and weights that a tanh-sinh level adds on [1, sqrt(2)].
 
